@@ -21,7 +21,6 @@ from .geometry import (
 )
 from .partitions import (
     FrobeniusHooks,
-    cauchy_exterior,
     conjugate,
     durfee_rank,
     enumerate_Q,

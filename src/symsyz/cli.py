@@ -217,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help="compute the graded Betti table")
         _add_nkr(p)
         p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--max-t", dest="max_t", type=int, default=None)
+        p.add_argument("--max-t", dest="max_t", type=int, default=None,
+                       help="degree filter: keep only internal degrees t <= MAX_T")
         p.set_defaults(func=cmd_resolve)
 
     p = sub.add_parser("bott", help="cohomology of one irreducible bundle")

@@ -1,6 +1,6 @@
-"""Integer partition calculus: conjugates, Frobenius hooks, hook families,
-Schur module dimensions, and the two exterior-power decompositions used by
-the resolution pipeline.
+"""Integer partition calculus: conjugates, Frobenius hooks, the hook
+families with arm = leg + offset (one enumerator serves every table),
+Schur module dimensions, and the exterior powers of Sym^2.
 
 Partitions are plain tuples of weakly decreasing positive integers; the
 empty tuple is the zero partition. All arithmetic is exact.
@@ -8,7 +8,7 @@ empty tuple is the zero partition. All arithmetic is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import itertools
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -46,7 +46,10 @@ def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     >>> conjugate((3, 2, 1))
     (3, 2, 1)
     """
-    parts = check_partition(parts)
+    return _conjugate(check_partition(parts))
+
+
+def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     if not parts:
         return ()
     return tuple(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1))
@@ -96,17 +99,25 @@ def from_hooks(hooks: FrobeniusHooks) -> tuple[int, ...]:
         raise ValueError("arms and legs must be strictly decreasing")
     if s and (arms[-1] < 0 or legs[-1] < 0):
         raise ValueError("arms and legs must be nonnegative")
-    rows = legs[0] + 1 if s else 0
-    parts = []
-    for i in range(1, rows + 1):
-        if i <= s:
-            parts.append(arms[i - 1] + i)
-        else:
-            parts.append(sum(1 for j in range(s) if legs[j] + (j + 1) >= i))
-    result = tuple(parts)
+    result = _rows_from_hooks(arms, legs)
     if not is_partition(result) or to_hooks(result) != FrobeniusHooks(arms, legs):
         raise ValueError(f"inconsistent hook data {hooks}")
     return result
+
+
+def _rows_from_hooks(arms, legs) -> tuple[int, ...]:
+    """Rows of the partition with the given strictly decreasing, nonnegative
+    Frobenius coordinates: row i <= s is arms[i-1] + i, and a row below the
+    Durfee square counts the diagonal columns (of lengths legs[j] + j + 1)
+    that reach it."""
+    rows = [a + i for i, a in enumerate(arms, start=1)]
+    columns = [b + j for j, b in enumerate(legs, start=1)]
+    width = len(columns)
+    for i in range(width + 1, (columns[0] if columns else 0) + 1):
+        while columns[width - 1] < i:
+            width -= 1
+        rows.append(width)
+    return tuple(rows)
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -123,26 +134,35 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ..
             yield (first,) + rest
 
 
-def _distinct_tuples(total: int, count: int, ceiling: int) -> Iterator[tuple[int, ...]]:
-    """Strictly decreasing nonnegative tuples of given length and sum, parts <= ceiling."""
-    if count == 0:
-        if total == 0:
-            yield ()
-        return
-    # smallest possible remainder is (count-1) + (count-2) + ... + 0
-    floor = (count - 1) * count // 2
-    for first in range(min(ceiling, total - floor + (count - 1)), count - 2, -1):
-        if first < 0:
-            break
-        for rest in _distinct_tuples(total - first, count - 1, first - 1):
-            yield (first,) + rest
+def hook_family(
+    offset: int, max_leg: int
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Every partition whose Frobenius arms exceed its legs by `offset` and
+    whose legs are at most `max_leg`, as (partition, Durfee rank, size).
+
+    Walks the strictly decreasing leg tuples in [0, max_leg] by rank, the
+    empty tuple (the zero partition) first. A member of rank s has size
+    2 * sum(legs) + s * (offset + 1) and at most max_leg + 1 rows.
+
+    >>> list(hook_family(1, 1))
+    [((), 0, 0), ((3, 1), 1, 4), ((2,), 1, 2), ((3, 3), 2, 6)]
+    """
+    if offset < 0:
+        raise ValueError("offset must be nonnegative")
+    for s in range(max(max_leg, -1) + 2):  # the zero partition has no legs
+        for legs in itertools.combinations(range(max_leg, -1, -1), s):
+            arms = tuple(b + offset for b in legs)
+            yield _rows_from_hooks(arms, legs), s, 2 * sum(legs) + s * (offset + 1)
 
 
 @lru_cache(maxsize=None)
 def enumerate_Q(k_minus_1: int, weight: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of `weight` whose hooks satisfy arm = leg + k_minus_1.
+    """All partitions of `weight` whose hooks satisfy arm = leg + k_minus_1,
+    in decreasing order.
 
-    `weight` must be even.
+    `weight` must be even. A member's legs are at most
+    (weight - k_minus_1 - 1) / 2, the leg of a single hook of that weight, so
+    the walk covers 2 ** (weight / 2) leg tuples at most.
 
     >>> enumerate_Q(0, 4)
     ((2, 2),)
@@ -155,37 +175,16 @@ def enumerate_Q(k_minus_1: int, weight: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError("offset must be nonnegative")
     if weight <= 0 or weight % 2:
         raise ValueError(f"weight must be even and positive, got {weight}")
-    found = []
-    s = 1
-    while True:
-        # |lambda| = sum(a_j + b_j + 1) = 2*sum(b) + s*(k_minus_1 + 1)
-        leg_sum2 = weight - s * (k_minus_1 + 1)
-        if leg_sum2 < (s - 1) * s:  # minimal strictly decreasing leg sum, doubled
-            break
-        if leg_sum2 % 2 == 0:
-            for legs in _distinct_tuples(leg_sum2 // 2, s, weight):
-                arms = tuple(b + k_minus_1 for b in legs)
-                found.append(from_hooks(FrobeniusHooks(arms, legs)))
-        s += 1
+    max_leg = (weight - k_minus_1 - 1) // 2
+    found = (lam for lam, _, size in hook_family(k_minus_1, max_leg) if size == weight)
     return tuple(sorted(found, reverse=True))
-
-
-def hook_lengths(parts: tuple[int, ...]) -> dict[tuple[int, int], int]:
-    """Hook length of each cell (row, col), 1-indexed."""
-    parts = check_partition(parts)
-    conj = conjugate(parts)
-    return {
-        (i, j): (parts[i - 1] - j) + (conj[j - 1] - i) + 1
-        for i in range(1, len(parts) + 1)
-        for j in range(1, parts[i - 1] + 1)
-    }
 
 
 def schur_dim(parts: tuple[int, ...], e: int) -> int:
     """Dimension of the Schur module S_parts of an e-dimensional space.
 
-    Hook-content formula, evaluated as one exact fraction; zero when the
-    partition has more than e rows.
+    Hook-content formula, evaluated as one exact integer quotient; zero when
+    the partition has more than e rows.
 
     >>> schur_dim((2,), 2), schur_dim((1, 1), 3), schur_dim((2, 2), 3)
     (3, 3, 6)
@@ -195,14 +194,14 @@ def schur_dim(parts: tuple[int, ...], e: int) -> int:
         raise ValueError("space dimension must be positive")
     if len(parts) > e:
         return 0
+    conj = _conjugate(parts)
     num = 1
     den = 1
-    for (i, j), h in hook_lengths(parts).items():
-        num *= e + j - i
-        den *= h
-    value = Fraction(num, den)
-    assert value.denominator == 1
-    return int(value)
+    for i, row in enumerate(parts, start=1):
+        for j in range(1, row + 1):
+            num *= e + j - i
+            den *= (row - j) + (conj[j - 1] - i) + 1
+    return _exact_quotient(num, den, parts)
 
 
 def weyl_dim(weight: tuple[int, ...]) -> int:
@@ -211,25 +210,32 @@ def weyl_dim(weight: tuple[int, ...]) -> int:
     n = len(weight)
     if any(weight[i] < weight[i + 1] for i in range(n - 1)):
         raise ValueError(f"weight must be weakly decreasing: {weight}")
-    value = Fraction(1)
+    num = 1
+    den = 1
     for i in range(n):
         for j in range(i + 1, n):
-            value *= Fraction(weight[i] - weight[j] + j - i, j - i)
-    assert value.denominator == 1
-    return int(value)
+            num *= weight[i] - weight[j] + j - i
+            den *= j - i
+    return _exact_quotient(num, den, weight)
 
 
-# Orientation note for the two decompositions below: the labels returned are
-# the ones carried by the exterior power of the *argument* functor itself
-# (Sym^2 E, resp. E (x) F); any dualisation happens at the call site.
+def _exact_quotient(num: int, den: int, label: tuple[int, ...]) -> int:
+    value, remainder = divmod(num, den)
+    if remainder:
+        raise ArithmeticError(f"dimension of {label} is not an integer: {num}/{den}")
+    return value
+
+
+# Orientation note: the labels returned are the ones carried by the exterior
+# power of Sym^2 E itself; any dualisation happens at the call site.
 
 
 def exterior_of_sym2(t: int, e: int) -> list[tuple[tuple[int, ...], int]]:
     """Summands of the t-th exterior power of Sym^2 of an e-dimensional space.
 
     These are the partitions of 2t with every arm exceeding its leg by one,
-    each with multiplicity one; summands with more than e rows vanish and
-    are dropped.
+    each with multiplicity one, in decreasing order; summands with more than
+    e rows vanish, so only legs below e are walked.
 
     >>> exterior_of_sym2(1, 4)
     [((2,), 1)]
@@ -238,23 +244,5 @@ def exterior_of_sym2(t: int, e: int) -> list[tuple[tuple[int, ...], int]]:
     """
     if t < 0:
         raise ValueError("exterior degree must be nonnegative")
-    if t == 0:
-        return [((), 1)]
-    return [(lam, 1) for lam in enumerate_Q(1, 2 * t) if len(lam) <= e]
-
-
-def cauchy_exterior(t: int, e: int, f: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Cauchy decomposition of the t-th exterior power of a tensor product:
-    pairs (lambda, lambda') over partitions of t with at most e rows and at
-    most f columns.
-
-    >>> cauchy_exterior(1, 2, 2)
-    [((1,), (1,))]
-    """
-    if t < 0:
-        raise ValueError("exterior degree must be nonnegative")
-    return [
-        (lam, conjugate(lam))
-        for lam in partitions_of(t, max_part=f)
-        if len(lam) <= e
-    ]
+    found = (lam for lam, _, size in hook_family(1, e - 1) if size == 2 * t)
+    return [(lam, 1) for lam in sorted(found, reverse=True)]

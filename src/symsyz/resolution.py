@@ -1,6 +1,8 @@
 """Assembly of graded Betti tables: the cohomology-driven construction over
-a Grassmannian base, and the closed-form hook enumeration for the symmetric
-determinantal case, with exact consistency functionals."""
+a Grassmannian base, and the closed form for the symmetric determinantal
+case, with exact consistency functionals. Both run over one hook family
+(:func:`~symsyz.partitions.hook_family`): offset k - 1 for the closed form,
+offset 1 for the exterior powers of Sym^2 over the enlarged base."""
 
 from __future__ import annotations
 
@@ -9,16 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bott import bundle_cohomology
-from .partitions import (
-    conjugate,
-    durfee_rank,
-    enumerate_Q,
-    exterior_of_sym2,
-    from_hooks,
-    FrobeniusHooks,
-    schur_dim,
-    weyl_dim,
-)
+from .partitions import conjugate, hook_family, schur_dim, weyl_dim
 from .polynomials import Poly, poly_det, span_rank_and_basis
 from .weyl import check_parameters
 
@@ -140,60 +133,38 @@ def assemble(oracle, max_t: int) -> BettiTable:
     return table
 
 
-def jpw_closed_form(n: int, k: int) -> BettiTable:
+def jpw_closed_form(n: int, k: int, max_t: int | None = None) -> BettiTable:
     """Closed-form Betti table of the locus of symmetric n-by-n matrices of
     rank at most k: position i >= 1 collects, over even-rank hook partitions
     lambda of 2t with arm = leg + (k-1) and i = t - k rank/2, the Schur
-    dimensions of the conjugates; internal degree is t.
+    dimensions of the conjugates; internal degree is t. The partitions have
+    at most n columns, so their legs are at most n - k.
+
+    `max_t` filters the table to internal degrees t <= max_t; the generator
+    in degree 0 is always kept.
 
     >>> jpw_closed_form(2, 1).entries
     {(0, 0): 1, (1, 2): 1}
+    >>> jpw_closed_form(3, 1, max_t=2).entries
+    {(0, 0): 1, (1, 2): 6}
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got {(n, k)}")
     table = BettiTable()
     table.add(0, 0, (), 1)
-    for lam, s, t in _jpw_partitions(n, k):
-        i = t - k * s // 2
+    for lam, s, size in hook_family(k - 1, n - k):
+        t = size // 2
+        if s == 0 or s % 2 or (max_t is not None and t > max_t):
+            continue
         dual = conjugate(lam)
-        table.add(i, t, dual, schur_dim(dual, n))
+        table.add(t - k * s // 2, t, dual, schur_dim(dual, n))
     return table
-
-
-def _jpw_partitions(n: int, k: int):
-    """Even-rank members of the hook families with at most n columns,
-    enumerated directly through their Frobenius coordinates."""
-    for s in itertools.count(2, step=2):
-        if s > n - k + 1:
-            return
-        # arms strictly decreasing in [k-1, n-1]; legs = arms - (k-1)
-        for arms in itertools.combinations(range(n - 1, k - 2, -1), s):
-            legs = tuple(a - (k - 1) for a in arms)
-            lam = from_hooks(FrobeniusHooks(arms, legs))
-            assert durfee_rank(lam) == s and sum(lam) % 2 == 0
-            yield lam, s, sum(lam) // 2
 
 
 def jpw_by_degree_scan(n: int, k: int, max_t: int) -> BettiTable:
-    """Same table as :func:`jpw_closed_form`, built by scanning internal
-    degrees up to a cap; kept for exploratory runs with --max-t."""
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got {(n, k)}")
-    table = BettiTable()
-    table.add(0, 0, (), 1)
-    for t in range(1, max_t + 1):
-        for lam in enumerate_Q(k - 1, 2 * t):
-            s = durfee_rank(lam)
-            if s % 2 or len(lam) > n:
-                continue
-            dual = conjugate(lam)
-            table.add(t - k * s // 2, t, dual, schur_dim(dual, n))
-    return table
-
-
-def jpw_degree_bound(n: int, k: int) -> int:
-    """Largest internal degree that can occur for the given parameters."""
-    return max((t for _, _, t in _jpw_partitions(n, k)), default=0)
+    """The closed form filtered to degrees t <= max_t. Kept as a name because
+    perfbench/trace_child.py traces every function it lists by name."""
+    return jpw_closed_form(n, k, max_t)
 
 
 def k_polynomial(table: BettiTable) -> list[int]:
@@ -301,10 +272,6 @@ class XiDescription:
         """(quotient-side, sub-side) labels of the bundle itself."""
         return [((2,), ())]
 
-    def exterior_summands(self, t: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Labels of the t-th exterior power, each with multiplicity one."""
-        return [(lam, ()) for lam, _ in exterior_of_sym2(t, self.m)]
-
     def check_rank(self) -> bool:
         return self.rank == sum(
             schur_dim(mu, self.m) * schur_dim(nu, self.u)
@@ -339,12 +306,19 @@ def enlarged_space_table(n: int, k: int, r: int, max_t: int | None = None) -> Be
     """Betti table of the direct image over the enlarged space: the
     cohomology oracle is Bott's algorithm on the exterior powers of the
     completely reducible bundle. Contains the closed-form table of the
-    determinantal locus as a sub-table."""
+    determinantal locus as a sub-table.
+
+    The t-th exterior power of Sym^2 of the rank-m quotient has the offset-1
+    hook partitions of 2t with legs below m as its summands (sub-side label
+    empty); one walk of that family groups them all by t."""
     xi = build_xi_description(n, k, r)
     cap = xi.rank if max_t is None else min(max_t, xi.rank)
+    summands: dict[int, list] = {}
+    for lam, _, size in hook_family(1, xi.m - 1):
+        summands.setdefault(size // 2, []).append((lam, ()))
 
     def oracle(t: int):
-        return bundle_cohomology(xi.exterior_summands(t), xi.n, xi.m)
+        return bundle_cohomology(summands.get(t, ()), xi.n, xi.m)
 
     return assemble(oracle, cap)
 
@@ -373,7 +347,8 @@ class ResolveReport:
 def resolve(n: int, k: int, r: int, max_t: int | None = None) -> ResolveReport:
     """Full pipeline: closed form when r = n, with the enlarged-space
     cross-check when it exists; for r < n only the geometry is computable
-    and the report says why."""
+    and the report says why. `max_t` (the CLI's --max-t) is a degree
+    filter: both tables keep only internal degrees t <= max_t."""
     from .geometry import desing_data  # local import to keep modules acyclic
 
     check_parameters(n, k, r)
@@ -388,11 +363,7 @@ def resolve(n: int, k: int, r: int, max_t: int | None = None) -> ResolveReport:
                 " Grassmannian base is not completely reducible"
             ),
         )
-    table = (
-        jpw_closed_form(n, k)
-        if max_t is None
-        else jpw_by_degree_scan(n, k, max_t)
-    )
+    table = jpw_closed_form(n, k, max_t)
     if not table.is_resolution_shape():
         raise RationalSingularityViolation("closed-form table has spurious generators")
     report = ResolveReport(

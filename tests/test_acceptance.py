@@ -28,8 +28,8 @@ VERONESE = {(0, 0): 1, (1, 2): 6, (2, 3): 8, (3, 4): 3}
 
 def _report(name, started, budget):
     elapsed = time.time() - started
-    print(f"PASS {name} ({elapsed:.2f}s < {budget}s)")
     assert elapsed < budget, f"{name} exceeded its {budget}s budget"
+    print(f"PASS {name} ({elapsed:.2f}s < {budget}s)")
 
 
 def _cli_betti(capsys, n, k, r):

@@ -5,12 +5,12 @@ from hypothesis import given, strategies as st
 
 from symsyz.partitions import (
     FrobeniusHooks,
-    cauchy_exterior,
     conjugate,
     durfee_rank,
     enumerate_Q,
     exterior_of_sym2,
     from_hooks,
+    hook_family,
     is_partition,
     partitions_of,
     schur_dim,
@@ -85,6 +85,24 @@ def test_enumerate_Q_against_filter():
             assert enumerate_Q(offset, weight) == expected
 
 
+def test_hook_family_against_filter():
+    # oracle: every partition inside the (max_leg + 1) x (max_leg + offset + 1)
+    # box (a hook family member's first leg and arm bound its rows and
+    # columns), filtered through its hooks
+    for offset in range(3):
+        for max_leg in range(5):
+            width = max_leg + offset + 1
+            expected = sorted(
+                (lam, durfee_rank(lam), size)
+                for size in range((max_leg + 1) * width + 1)
+                for lam in partitions_of(size, max_part=width)
+                if len(lam) <= max_leg + 1
+                and all(a == b + offset for a, b in zip(*to_hooks(lam)))
+            )
+            assert sorted(hook_family(offset, max_leg)) == expected, (offset, max_leg)
+            assert len(expected) == 2 ** (max_leg + 1)
+
+
 def test_schur_dim_examples():
     assert schur_dim((2,), 2) == 3
     assert schur_dim((1, 1), 3) == 3
@@ -118,24 +136,6 @@ def test_exterior_of_sym2_dimension_counts():
         for t in range(7):
             total = sum(schur_dim(lam, e) * m for lam, m in exterior_of_sym2(t, e))
             assert total == comb(e * (e + 1) // 2, t), (e, t)
-
-
-def test_cauchy_exterior_basics():
-    assert cauchy_exterior(0, 3, 3) == [((), ())]
-    assert cauchy_exterior(1, 3, 3) == [((1,), (1,))]
-    for lam, dual in cauchy_exterior(5, 4, 3):
-        assert conjugate(lam) == dual
-
-
-def test_cauchy_exterior_dimension_counts():
-    for e in range(1, 5):
-        for f in range(1, 5):
-            for t in range(7):
-                total = sum(
-                    schur_dim(lam, e) * schur_dim(dual, f)
-                    for lam, dual in cauchy_exterior(t, e, f)
-                )
-                assert total == comb(e * f, t), (e, f, t)
 
 
 def test_is_partition():

@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 from symsyz.geometry import desing_data
+from symsyz.partitions import exterior_of_sym2
 from symsyz.resolution import (
     BettiTable,
     RationalSingularityViolation,
@@ -13,7 +14,6 @@ from symsyz.resolution import (
     enlarged_space_table,
     jpw_by_degree_scan,
     jpw_closed_form,
-    jpw_degree_bound,
     k_polynomial,
     minor_generators,
     resolve,
@@ -87,10 +87,21 @@ def test_jpw_provenance_labels():
 
 
 def test_jpw_scan_agrees_with_direct():
-    for n in range(2, 7):
+    # --max-t is a degree filter: the capped table is the full one cut to
+    # degrees <= max_t, entry by entry and label by label
+    for n in range(2, 9):
         for k in range(1, n):
-            bound = jpw_degree_bound(n, k)
-            assert jpw_by_degree_scan(n, k, bound).entries == jpw_closed_form(n, k).entries
+            full = jpw_closed_form(n, k)
+            for max_t in range(full.max_degree() + 2):
+                capped = jpw_by_degree_scan(n, k, max_t)
+                assert capped.entries == {
+                    key: m for key, m in full.entries.items() if key[1] <= max_t
+                }, (n, k, max_t)
+                assert capped.provenance == {
+                    key: labels for key, labels in full.provenance.items()
+                    if key[1] <= max_t
+                }, (n, k, max_t)
+    assert jpw_closed_form(3, 1, max_t=-1).entries == {(0, 0): 1}
 
 
 def test_jpw_resolution_shape_and_length():
@@ -138,8 +149,8 @@ def test_xi_description():
     xi = build_xi_description(3, 2, 3)
     assert (xi.n, xi.u, xi.m, xi.rank) == (3, 1, 2, 3)
     assert xi.summands() == [((2,), ())]
-    assert [lam for lam, _ in xi.exterior_summands(2)] == [(3, 1)]
-    assert xi.exterior_summands(0) == [((), ())]
+    assert exterior_of_sym2(2, 2) == [((3, 1), 1)]
+    assert exterior_of_sym2(0, 2) == [((), 1)]
     xi4 = build_xi_description(4, 2, 4)
     assert xi4.rank == 6
     with pytest.raises(UnsupportedBundleError) as err:
