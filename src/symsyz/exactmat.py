@@ -4,6 +4,8 @@ inverses, and fraction-free determinants. Matrices are lists of lists."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 Matrix = list[list[Fraction]]
 
@@ -50,8 +52,18 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError(f"shape mismatch: {shape(a)} * {shape(b)}")
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    ia, da = _scaled(a)
+    ib, db = _scaled(transpose(b))
+    den = da * db
+    return [[Fraction(sum(map(mul, row, col)), den) for col in ib] for row in ia]
+
+
+def _scaled(m: Matrix) -> tuple[list[list[int]], int]:
+    """Integer rows and one common denominator: m == rows / den. Products
+    of exact matrices then cost one normalisation per entry instead of one
+    per Fraction operation."""
+    den = lcm(1, *(x.denominator for row in m for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in m], den
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -109,9 +121,10 @@ def det_bareiss(m: Matrix):
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         return 1
-    a = [[Fraction(x) for x in row] for row in m]
+    # on the integer matrix den * m every Bareiss division is exact
+    a, den = _scaled(m)
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
@@ -121,8 +134,8 @@ def det_bareiss(m: Matrix):
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
         prev = a[k][k]
-    value = sign * a[n - 1][n - 1]
+    value = Fraction(sign * a[n - 1][n - 1], den ** n)
     return int(value) if value.denominator == 1 else value

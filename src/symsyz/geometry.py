@@ -2,8 +2,8 @@
 
 Everything is exact rational arithmetic. The ambient group lives inside
 SL(2n): a block matrix [[A, C], [D, E]] is symplectic for the form
-F = [[0, J], [-J, 0]] (J the antidiagonal of ones) iff the three block
-equations checked by :func:`is_symplectic` hold.
+F = [[0, J], [-J, 0]] (J the antidiagonal of ones) iff Z^T F Z = F, which
+is what :func:`is_symplectic` checks.
 
 Coordinates x[i][j] on the opposite big cell of the three-step type-A
 parabolic quotient sit strictly below the block diagonal with cuts
@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import exactmat as em
 from .polynomials import Poly
@@ -72,21 +73,15 @@ def symplectic_form(n: int):
 
 
 def is_symplectic(z: BlockMatrix2n) -> bool:
-    """Check the three block structure equations exactly.
+    """Check Z^T F Z == F exactly. In blocks this is A^T J D = D^T J A,
+    C^T J E = E^T J C and A^T J E - D^T J C = J.
 
     >>> is_symplectic(BlockMatrix2n.from_matrix(em.identity(4)))
     True
     """
-    a, c, d, e = z.blocks()
-    n = z.n
-    j = em.antidiag(n)
-    at, ct, dt, et = (em.transpose(b) for b in (a, c, d, e))
-    eq1 = em.mat_eq(em.mat_mul(at, em.mat_mul(j, d)), em.mat_mul(dt, em.mat_mul(j, a)))
-    eq2 = em.mat_eq(em.mat_mul(ct, em.mat_mul(j, e)), em.mat_mul(et, em.mat_mul(j, c)))
-    lhs = em.mat_sub(em.mat_mul(at, em.mat_mul(j, e)), em.mat_mul(dt, em.mat_mul(j, c)))
-    rhs = em.mat_sub(em.mat_mul(et, em.mat_mul(j, a)), em.mat_mul(ct, em.mat_mul(j, d)))
-    eq3 = em.mat_eq(lhs, j) and em.mat_eq(rhs, j)
-    return eq1 and eq2 and eq3
+    m = z.as_matrix()
+    f = symplectic_form(z.n)
+    return em.mat_eq(em.mat_mul(em.transpose(m), em.mat_mul(f, m)), f)
 
 
 class NotInOppositeCellError(ValueError):
@@ -150,13 +145,18 @@ def cell_cuts(n: int, k: int, r: int) -> tuple[int, int, int]:
 
 def free_positions(n: int, k: int, r: int) -> list[tuple[int, int]]:
     """Positions (i, j) with j <= cut < i for one of the three cuts."""
+    return list(_free_positions(n, k, r))
+
+
+@lru_cache(maxsize=None)
+def _free_positions(n: int, k: int, r: int) -> tuple[tuple[int, int], ...]:
     cuts = cell_cuts(n, k, r)
-    return [
+    return tuple(
         (i, j)
         for i in range(1, 2 * n + 1)
         for j in range(1, i)
         if any(j <= l < i for l in cuts)
-    ]
+    )
 
 
 def random_cell_point(n: int, k: int, r: int, rng: random.Random,
@@ -164,18 +164,20 @@ def random_cell_point(n: int, k: int, r: int, rng: random.Random,
     """Random integer coordinates on the free positions."""
     return {
         pos: rng.randint(-bound, bound)
-        for pos in free_positions(n, k, r)
+        for pos in _free_positions(n, k, r)
     }
 
 
 def cell_matrix(n: int, k: int, r: int, point: dict) -> em.Matrix:
-    """Assemble the lower unidiagonal 2n-by-2n matrix of a cell point."""
-    free = set(free_positions(n, k, r))
-    m = em.identity(2 * n)
+    """Assemble the lower unidiagonal 2n-by-2n matrix of a cell point. The
+    entries are the point's own exact values, so an integer point gives an
+    integer matrix and its minors stay in integer arithmetic."""
+    free = _free_positions(n, k, r)
+    m = [[int(a == b) for b in range(2 * n)] for a in range(2 * n)]
     for (i, j), value in point.items():
         if (i, j) not in free:
             raise ValueError(f"position {(i, j)} is not free for {(n, k, r)}")
-        m[i - 1][j - 1] = Fraction(value)
+        m[i - 1][j - 1] = value
     return m
 
 
@@ -194,7 +196,7 @@ def _minor_det_unitriangular(m: em.Matrix, l: int, i: int, j: int):
             continue
         coeff = v[s - 1]
         if coeff:
-            v[s - 1] = Fraction(0)
+            v[s - 1] = 0
             for c in range(s - 1):
                 v[c] -= coeff * m[s - 1][c]
     sign = -1 if (l - j) % 2 else 1
@@ -214,16 +216,20 @@ class PluckerValue:
 
 
 def plucker_restriction(n: int, k: int, r: int, i: int, j: int,
-                        point: dict, cross_check: bool = False) -> PluckerValue:
+                        point: dict, cross_check: bool = False,
+                        matrix: em.Matrix | None = None) -> PluckerValue:
     """Restriction of the Plucker coordinate p_(i,j) to the opposite cell,
     computed two ways: as the actual minor of the coordinate matrix, and by
     the closed form for the index range. The two must agree exactly.
 
     Ranges: (i > r, j <= r-k) uses the first cut; (i > 2n-(r-k), j in the
     second or third column band) use the last cut.
+
+    ``matrix`` is ``cell_matrix(n, k, r, point)`` when the caller checks many
+    minors of one point and has built it once; it is built here otherwise.
     """
     l, mid, big = cell_cuts(n, k, r)
-    lookup = lambda a, b: Fraction(point.get((a, b), 0))
+    lookup = lambda a, b: point.get((a, b), 0)
     if i > r and j <= l:
         cut = l
         closed = (-1) ** (l - j) * lookup(i, j)
@@ -241,7 +247,7 @@ def plucker_restriction(n: int, k: int, r: int, i: int, j: int,
         closed = (-1) ** (big - j) * (lookup(i, j) - dot)
     else:
         raise ValueError(f"index pair {(i, j)} outside the treated ranges")
-    m = cell_matrix(n, k, r, point)
+    m = cell_matrix(n, k, r, point) if matrix is None else matrix
     minor = _minor_det_unitriangular(m, cut, i, j)
     if cross_check:
         assert minor == _minor_det_bareiss(m, cut, i, j)
@@ -249,7 +255,7 @@ def plucker_restriction(n: int, k: int, r: int, i: int, j: int,
         raise AssertionError(
             f"minor/closed-form mismatch at {(n, k, r, i, j)}: {minor} != {closed}"
         )
-    return PluckerValue(minor, closed)
+    return PluckerValue(Fraction(minor), Fraction(closed))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from .bott import QDominantWeight, bott
 from .geometry import (
     BlockMatrix2n,
     cell_cuts,
+    cell_matrix,
     desing_data,
     is_symplectic,
     opposite_cell_factor,
@@ -85,10 +86,12 @@ def plucker_suite(seed: int, n_max: int = 5, points_per_case: int = 200,
         )
         for count in range(points_per_case):
             point = random_cell_point(n, k, r, rng)
+            matrix = cell_matrix(n, k, r, point)
             cross = count % cross_check_every == 0
             for i, j in pairs:
                 try:
-                    plucker_restriction(n, k, r, i, j, point, cross_check=cross)
+                    plucker_restriction(n, k, r, i, j, point, cross_check=cross,
+                                        matrix=matrix)
                 except AssertionError as exc:
                     return SuiteResult("plucker", False, str(exc))
                 checked += 1
