@@ -15,6 +15,10 @@ from dataclasses import dataclass
 from .partitions import weyl_dim
 
 
+class ExchangeBoundExceeded(RuntimeError):
+    """The exchange loop ran past n(n-1)/2 steps, the sorting bound."""
+
+
 def exchange(alpha: tuple[int, ...], i: int) -> tuple[int, ...]:
     """The shifted swap at position i (1-based):
     (.., a_{i-1}, a_{i+1}-1, a_i+1, a_{i+2}, ..).
@@ -97,7 +101,8 @@ def bott(w: QDominantWeight) -> CohomologyAnswer:
             return ZERO
         seq[i - 1], seq[i] = seq[i] - 1, seq[i - 1] + 1
         steps += 1
-        assert steps <= bound, "exchange loop exceeded the sorting bound"
+        if steps > bound:
+            raise ExchangeBoundExceeded(f"{w}: more than {bound} exchanges")
     return CohomologyAnswer(zero=False, degree=steps, label=tuple(seq))
 
 

@@ -11,9 +11,10 @@ import argparse
 import json
 import sys
 
-from .bott import QDominantWeight, bott
+from .bott import ExchangeBoundExceeded, QDominantWeight, bott
 from .geometry import desing_data, opposite_cell_pattern
 from .resolution import (
+    BundleRankMismatch,
     RationalSingularityViolation,
     k_polynomial,
     resolve,
@@ -34,6 +35,7 @@ from .weyl import (
 
 USAGE_EXIT = 2
 INTERNAL_EXIT = 3
+MAX_WALK = 2 ** 17  # leg tuples in one hook-family walk
 
 
 def _fail(code: str, message: str, exit_code: int) -> int:
@@ -45,13 +47,30 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
+def walk_size(n: int, k: int) -> int:
+    """Leg tuples in the larger walk of `resolve` at r = n: 2^(n-k+1) for the
+    closed form, and 2^(n-k/2) over the enlarged base when k is even."""
+    return 2 ** (n - k // 2 if k % 2 == 0 else n - k + 1)
+
+
 def cmd_resolve(args) -> int:
+    if args.max_t is not None and args.max_t < 0:
+        return _fail("invalid-params", f"--max-t must be >= 0, got {args.max_t}", USAGE_EXIT)
+    if 1 <= args.k < args.r == args.n and walk_size(args.n, args.k) > MAX_WALK:
+        return _fail("too-large", f"(n, k) = ({args.n}, {args.k}) walks"
+                     f" {walk_size(args.n, args.k)} leg tuples, more than {MAX_WALK}", USAGE_EXIT)
     try:
         report = resolve(args.n, args.k, args.r, max_t=args.max_t)
     except ValueError as exc:
         return _fail("invalid-params", str(exc), USAGE_EXIT)
     except RationalSingularityViolation as exc:
         return _fail("rational-singularity-violation", str(exc), INTERNAL_EXIT)
+    except ArithmeticError as exc:
+        return _fail("non-integral-dimension", str(exc), INTERNAL_EXIT)
+    except ExchangeBoundExceeded as exc:
+        return _fail("exchange-bound", str(exc), INTERNAL_EXIT)
+    except BundleRankMismatch as exc:
+        return _fail("bundle-rank", str(exc), INTERNAL_EXIT)
     data = desing_data(args.n, args.k, args.r)
     if not report.supported():
         if args.format == "json":
@@ -218,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_nkr(p)
         p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument("--max-t", dest="max_t", type=int, default=None,
-                       help="degree filter: keep only internal degrees t <= MAX_T")
+                       help="degree filter: keep only internal degrees t <= MAX_T (MAX_T >= 0)")
         p.set_defaults(func=cmd_resolve)
 
     p = sub.add_parser("bott", help="cohomology of one irreducible bundle")

@@ -1,6 +1,6 @@
 """Integer partition calculus: conjugates, Frobenius hooks, the hook
 families with arm = leg + offset (one enumerator serves every table),
-Schur module dimensions, and the exterior powers of Sym^2.
+Schur module dimensions as Weyl products, and the exterior powers of Sym^2.
 
 Partitions are plain tuples of weakly decreasing positive integers; the
 empty tuple is the zero partition. All arithmetic is exact.
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import factorial, prod
 from typing import Iterator, NamedTuple
 
 
@@ -46,10 +47,7 @@ def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     >>> conjugate((3, 2, 1))
     (3, 2, 1)
     """
-    return _conjugate(check_partition(parts))
-
-
-def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    parts = check_partition(parts)
     if not parts:
         return ()
     return tuple(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1))
@@ -138,21 +136,21 @@ def hook_family(
     offset: int, max_leg: int
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Every partition whose Frobenius arms exceed its legs by `offset` and
-    whose legs are at most `max_leg`, as (partition, Durfee rank, size).
+    whose legs are at most `max_leg`, as (legs, Durfee rank, size).
 
     Walks the strictly decreasing leg tuples in [0, max_leg] by rank, the
     empty tuple (the zero partition) first. A member of rank s has size
-    2 * sum(legs) + s * (offset + 1) and at most max_leg + 1 rows.
+    2 * sum(legs) + s * (offset + 1) and at most max_leg + 1 rows; consumers
+    build the rows of the members they keep with :func:`_rows_from_hooks`.
 
     >>> list(hook_family(1, 1))
-    [((), 0, 0), ((3, 1), 1, 4), ((2,), 1, 2), ((3, 3), 2, 6)]
+    [((), 0, 0), ((1,), 1, 4), ((0,), 1, 2), ((1, 0), 2, 6)]
     """
     if offset < 0:
         raise ValueError("offset must be nonnegative")
     for s in range(max(max_leg, -1) + 2):  # the zero partition has no legs
         for legs in itertools.combinations(range(max_leg, -1, -1), s):
-            arms = tuple(b + offset for b in legs)
-            yield _rows_from_hooks(arms, legs), s, 2 * sum(legs) + s * (offset + 1)
+            yield legs, s, 2 * sum(legs) + s * (offset + 1)
 
 
 @lru_cache(maxsize=None)
@@ -176,15 +174,15 @@ def enumerate_Q(k_minus_1: int, weight: int) -> tuple[tuple[int, ...], ...]:
     if weight <= 0 or weight % 2:
         raise ValueError(f"weight must be even and positive, got {weight}")
     max_leg = (weight - k_minus_1 - 1) // 2
-    found = (lam for lam, _, size in hook_family(k_minus_1, max_leg) if size == weight)
+    found = (_rows_from_hooks([b + k_minus_1 for b in legs], legs)
+             for legs, _, size in hook_family(k_minus_1, max_leg) if size == weight)
     return tuple(sorted(found, reverse=True))
 
 
 def schur_dim(parts: tuple[int, ...], e: int) -> int:
-    """Dimension of the Schur module S_parts of an e-dimensional space.
-
-    Hook-content formula, evaluated as one exact integer quotient; zero when
-    the partition has more than e rows.
+    """Dimension of the Schur module S_parts of an e-dimensional space: the
+    Weyl dimension of the partition padded with zeros to length e, and zero
+    when the partition has more than e rows.
 
     >>> schur_dim((2,), 2), schur_dim((1, 1), 3), schur_dim((2, 2), 3)
     (3, 3, 6)
@@ -194,36 +192,31 @@ def schur_dim(parts: tuple[int, ...], e: int) -> int:
         raise ValueError("space dimension must be positive")
     if len(parts) > e:
         return 0
-    conj = _conjugate(parts)
-    num = 1
-    den = 1
-    for i, row in enumerate(parts, start=1):
-        for j in range(1, row + 1):
-            num *= e + j - i
-            den *= (row - j) + (conj[j - 1] - i) + 1
-    return _exact_quotient(num, den, parts)
+    return weyl_dim(parts + (0,) * (e - len(parts)))
 
 
 def weyl_dim(weight: tuple[int, ...]) -> int:
     """Dimension of the irreducible GL representation with the given
-    weakly decreasing integer highest weight (entries may be negative)."""
-    n = len(weight)
-    if any(weight[i] < weight[i + 1] for i in range(n - 1)):
+    weakly decreasing integer highest weight (entries may be negative): the
+    Weyl product of the (w_i - w_j + j - i), i < j, over that of the (j - i)."""
+    if sorted(weight, reverse=True) != list(weight):
         raise ValueError(f"weight must be weakly decreasing: {weight}")
+    shifted = [w - i for i, w in enumerate(weight)]
     num = 1
-    den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= weight[i] - weight[j] + j - i
-            den *= j - i
-    return _exact_quotient(num, den, weight)
-
-
-def _exact_quotient(num: int, den: int, label: tuple[int, ...]) -> int:
+    for i, a in enumerate(shifted):
+        for b in shifted[i + 1:]:
+            num *= a - b
+    den = _weyl_denominator(len(weight))
     value, remainder = divmod(num, den)
     if remainder:
-        raise ArithmeticError(f"dimension of {label} is not an integer: {num}/{den}")
+        raise ArithmeticError(f"dimension of {weight} is not an integer: {num}/{den}")
     return value
+
+
+@lru_cache(maxsize=None)
+def _weyl_denominator(n: int) -> int:
+    """The product of (j - i) over 0 <= i < j < n: 0! 1! ... (n-1)!."""
+    return prod(factorial(d) for d in range(n))
 
 
 # Orientation note: the labels returned are the ones carried by the exterior
@@ -244,5 +237,6 @@ def exterior_of_sym2(t: int, e: int) -> list[tuple[tuple[int, ...], int]]:
     """
     if t < 0:
         raise ValueError("exterior degree must be nonnegative")
-    found = (lam for lam, _, size in hook_family(1, e - 1) if size == 2 * t)
+    found = (_rows_from_hooks([b + 1 for b in legs], legs)
+             for legs, _, size in hook_family(1, e - 1) if size == 2 * t)
     return [(lam, 1) for lam in sorted(found, reverse=True)]

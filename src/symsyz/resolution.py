@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .bott import bundle_cohomology
-from .partitions import conjugate, hook_family, schur_dim, weyl_dim
+from .partitions import _rows_from_hooks, hook_family, schur_dim, weyl_dim
 from .polynomials import Poly, poly_det, span_rank_and_basis
 from .weyl import check_parameters
 
@@ -19,6 +18,10 @@ from .weyl import check_parameters
 class RationalSingularityViolation(RuntimeError):
     """A cohomology class landed in negative homological degree; with the
     rational-singularities guarantee this can only mean an upstream bug."""
+
+
+class BundleRankMismatch(RuntimeError):
+    """The summands of the bundle model do not add up to its rank."""
 
 
 class UnsupportedBundleError(ValueError):
@@ -138,7 +141,9 @@ def jpw_closed_form(n: int, k: int, max_t: int | None = None) -> BettiTable:
     rank at most k: position i >= 1 collects, over even-rank hook partitions
     lambda of 2t with arm = leg + (k-1) and i = t - k rank/2, the Schur
     dimensions of the conjugates; internal degree is t. The partitions have
-    at most n columns, so their legs are at most n - k.
+    at most n columns, so their legs are at most n - k. A conjugate is built
+    from the member's hooks swapped, (legs, arms), and its dimension is the
+    Weyl dimension of its rows padded with zeros to length n.
 
     `max_t` filters the table to internal degrees t <= max_t; the generator
     in degree 0 is always kept.
@@ -152,12 +157,12 @@ def jpw_closed_form(n: int, k: int, max_t: int | None = None) -> BettiTable:
         raise ValueError(f"need 1 <= k < n, got {(n, k)}")
     table = BettiTable()
     table.add(0, 0, (), 1)
-    for lam, s, size in hook_family(k - 1, n - k):
+    for legs, s, size in hook_family(k - 1, n - k):
         t = size // 2
         if s == 0 or s % 2 or (max_t is not None and t > max_t):
             continue
-        dual = conjugate(lam)
-        table.add(t - k * s // 2, t, dual, schur_dim(dual, n))
+        dual = _rows_from_hooks(legs, [b + k - 1 for b in legs])
+        table.add(t - k * s // 2, t, dual, weyl_dim(dual + (0,) * (n - len(dual))))
     return table
 
 
@@ -193,26 +198,14 @@ class ConsistencyReport:
 def consistency_check(table: BettiTable, codim: int) -> ConsistencyReport:
     """Divide the alternating-sum polynomial by (1-z)^codim exactly; on
     success the quotient at z = 1 is the degree of the variety."""
-    coeffs = [Fraction(c) for c in k_polynomial(table)]
+    coeffs = k_polynomial(table)
     for _ in range(codim):
-        coeffs = _divide_by_one_minus_z(coeffs)
-        if coeffs is None:
+        # synthetic division by (1 - z): the remainder is the value at z = 1,
+        # the quotient's coefficients are the partial sums
+        if sum(coeffs) != 0:
             return ConsistencyReport(divisible=False, degree=None)
-    degree = sum(coeffs)
-    assert degree.denominator == 1
-    return ConsistencyReport(divisible=True, degree=int(degree))
-
-
-def _divide_by_one_minus_z(coeffs):
-    # synthetic division by (1 - z); remainder is the value at z = 1
-    if sum(coeffs) != 0:
-        return None
-    out = []
-    acc = Fraction(0)
-    for c in coeffs[:-1]:
-        acc += c
-        out.append(acc)
-    return out or [Fraction(0)]
+        coeffs = list(itertools.accumulate(coeffs[:-1])) or [0]
+    return ConsistencyReport(divisible=True, degree=sum(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +291,8 @@ def build_xi_description(n: int, k: int, r: int) -> XiDescription:
         )
     u = k // 2
     xi = XiDescription(n=n, u=u, rank=(n - u) * (n - u + 1) // 2)
-    assert xi.check_rank()
+    if not xi.check_rank():
+        raise BundleRankMismatch(f"summands of {xi} do not add up to its rank")
     return xi
 
 
@@ -314,8 +308,10 @@ def enlarged_space_table(n: int, k: int, r: int, max_t: int | None = None) -> Be
     xi = build_xi_description(n, k, r)
     cap = xi.rank if max_t is None else min(max_t, xi.rank)
     summands: dict[int, list] = {}
-    for lam, _, size in hook_family(1, xi.m - 1):
-        summands.setdefault(size // 2, []).append((lam, ()))
+    for legs, _, size in hook_family(1, xi.m - 1):
+        if size // 2 <= cap:
+            lam = _rows_from_hooks([b + 1 for b in legs], legs)
+            summands.setdefault(size // 2, []).append((lam, ()))
 
     def oracle(t: int):
         return bundle_cohomology(summands.get(t, ()), xi.n, xi.m)

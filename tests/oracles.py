@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from first principles, without
 touching the library's own code paths: breadth-first reduced words,
-explicit tableau enumeration, the rho-shift formulation of the sorting
-algorithm, and a mod-p Koszul-homology computation of graded Betti numbers.
+explicit tableau enumeration, the hook-content formula, the rho-shift
+formulation of the sorting algorithm, and a mod-p Koszul-homology
+computation of graded Betti numbers.
 """
 
 from __future__ import annotations
@@ -60,6 +61,27 @@ def count_ssyt(shape: tuple[int, ...], e: int) -> int:
         return total
 
     return extend(0)
+
+
+# -- Hook-content formula ----------------------------------------------------
+
+def conjugate(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Column lengths of the Young diagram, counted cell by cell."""
+    width = shape[0] if shape else 0
+    return tuple(sum(1 for row in shape if row > c) for c in range(width))
+
+
+def hook_content_dim(shape: tuple[int, ...], e: int) -> int:
+    """Dimension of the Schur module S_shape of an e-dimensional space: the
+    product of (e + content) over the product of hook lengths, box by box."""
+    cols = conjugate(shape)
+    num = den = 1
+    for r, row in enumerate(shape):
+        for c in range(row):
+            num *= e + c - r
+            den *= (row - c - 1) + (cols[c] - r - 1) + 1
+    assert num % den == 0
+    return num // den
 
 
 # -- rho-shift form of the sorting algorithm ---------------------------------

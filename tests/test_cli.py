@@ -1,6 +1,17 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
-from symsyz.cli import main
+import pytest
+
+from symsyz import partitions, resolution
+from symsyz.cli import MAX_WALK, main, walk_size
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -122,3 +133,68 @@ def test_max_t_truncation_is_exploratory(capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["divisible"] is True
+
+
+def test_resolve_refuses_negative_max_t(capsys):
+    code, out, err = run(capsys, "resolve", "--n", "4", "--k", "2", "--r", "4",
+                         "--max-t", "-1", "--format", "json")
+    assert code == 2 and out == ""
+    assert err.startswith("error:invalid-params:") and err.count("\n") == 1
+
+
+def test_resolve_refuses_oversized_walk_up_front(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "resolve", "--n", "20", "--k", "1", "--r", "20")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:too-large:") and err.count("\n") == 1
+
+
+def test_walk_size_boundary():
+    # the closed form walks 2^(n-k+1) leg tuples, the enlarged base 2^(n-k/2)
+    assert walk_size(17, 1) == MAX_WALK < walk_size(18, 1)
+    assert walk_size(18, 2) == MAX_WALK < walk_size(19, 2)
+    assert walk_size(21, 8) == MAX_WALK < walk_size(22, 8)
+    assert walk_size(19, 3) == 2 ** 17
+    # every instance the benchmark and the tests run has n - k <= 14
+    assert all(walk_size(n, k) <= MAX_WALK for n in range(2, 16) for k in range(1, n))
+
+
+BREAKAGES = {
+    # a wrong Weyl denominator leaves a remainder in the exact quotient
+    "non-integral-dimension": (partitions, "_weyl_denominator", lambda n: 10**9 + 7),
+    # an exchange rule that cycles runs past the sorting bound
+    # (the package's name `bott` is the function, so import the module itself)
+    "exchange-bound": (importlib.import_module("symsyz.bott"), "_first_ascent",
+                       lambda seq: 1),
+    "bundle-rank": (resolution.XiDescription, "check_rank", lambda self: False),
+}
+
+
+@pytest.mark.parametrize("code_name", sorted(BREAKAGES))
+def test_resolve_integrity_failures_exit_3(capsys, monkeypatch, code_name):
+    target, name, broken = BREAKAGES[code_name]
+    monkeypatch.setattr(target, name, broken)
+    code, out, err = run(capsys, "resolve", "--n", "4", "--k", "2", "--r", "4",
+                         "--format", "json")
+    assert code == 3 and out == ""
+    assert err.startswith(f"error:{code_name}:") and err.count("\n") == 1
+
+
+def test_resolve_integrity_check_survives_optimize(capsys):
+    # under python -O a healthy run prints the same bytes, and a broken
+    # Weyl denominator still exits 3 with one error line
+    argv = ["resolve", "--n", "4", "--k", "2", "--r", "4", "--format", "json"]
+    _, expected, _ = run(capsys, *argv)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    healthy = subprocess.run([sys.executable, "-O", "-m", "symsyz.cli", *argv],
+                             env=env, capture_output=True, text=True, timeout=60)
+    assert healthy.returncode == 0 and healthy.stdout == expected
+    script = ("import sys, symsyz.partitions as p, symsyz.cli as cli;"
+              " p._weyl_denominator = lambda n: 10**9 + 7;"
+              " sys.exit(cli.main(sys.argv[1:]))")
+    broken = subprocess.run([sys.executable, "-O", "-c", script, *argv],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert broken.returncode == 3 and broken.stdout == ""
+    assert broken.stderr.startswith("error:non-integral-dimension:")
+    assert broken.stderr.count("\n") == 1

@@ -18,7 +18,7 @@ from symsyz.partitions import (
     weyl_dim,
 )
 
-from oracles import count_ssyt
+from oracles import count_ssyt, hook_content_dim
 
 partition_st = st.integers(0, 14).flatmap(
     lambda n: st.sampled_from(sorted(partitions_of(n))) if n else st.just(())
@@ -88,7 +88,8 @@ def test_enumerate_Q_against_filter():
 def test_hook_family_against_filter():
     # oracle: every partition inside the (max_leg + 1) x (max_leg + offset + 1)
     # box (a hook family member's first leg and arm bound its rows and
-    # columns), filtered through its hooks
+    # columns), filtered through its hooks; each yielded leg tuple is turned
+    # into its partition through the validating from_hooks
     for offset in range(3):
         for max_leg in range(5):
             width = max_leg + offset + 1
@@ -99,7 +100,13 @@ def test_hook_family_against_filter():
                 if len(lam) <= max_leg + 1
                 and all(a == b + offset for a, b in zip(*to_hooks(lam)))
             )
-            assert sorted(hook_family(offset, max_leg)) == expected, (offset, max_leg)
+            walked = []
+            for legs, rank, size in hook_family(offset, max_leg):
+                arms = tuple(b + offset for b in legs)
+                lam = from_hooks(FrobeniusHooks(arms, legs)) if legs else ()
+                assert rank == len(legs) and size == sum(lam)
+                walked.append((lam, rank, size))
+            assert sorted(walked) == expected, (offset, max_leg)
             assert len(expected) == 2 ** (max_leg + 1)
 
 
@@ -121,7 +128,7 @@ def test_schur_dim_matches_tableau_count():
 def test_weyl_dim_agrees_with_hook_content(lam, e):
     if len(lam) <= e:
         padded = tuple(lam) + (0,) * (e - len(lam))
-        assert weyl_dim(padded) == schur_dim(lam, e)
+        assert weyl_dim(padded) == hook_content_dim(lam, e)
 
 
 def test_exterior_of_sym2_basics():

@@ -1,9 +1,10 @@
+import itertools
 from math import comb
 
 import pytest
 
 from symsyz.geometry import desing_data
-from symsyz.partitions import exterior_of_sym2
+from symsyz.partitions import FrobeniusHooks, exterior_of_sym2, from_hooks
 from symsyz.resolution import (
     BettiTable,
     RationalSingularityViolation,
@@ -20,6 +21,8 @@ from symsyz.resolution import (
 )
 
 from oracles import (
+    conjugate,
+    hook_content_dim,
     ideal_quotient_dims,
     koszul_betti,
     socle_free_through,
@@ -84,6 +87,32 @@ def test_jpw_provenance_labels():
     table = jpw_closed_form(3, 1)
     assert table.provenance[(1, 2)] == [((2, 2), 6)]
     assert table.provenance[(3, 4)] == [((3, 3, 2), 3)]
+
+
+def test_closed_form_against_oracle():
+    # rebuild each table from its definition: every even-rank partition with
+    # arm = leg + k - 1 and legs <= n - k, its conjugate counted cell by cell
+    # and that conjugate's dimension by the hook-content formula
+    for n in range(2, 11):
+        for k in range(1, n):
+            entries = {(0, 0): 1}
+            provenance = {(0, 0): [((), 1)]}
+            for s in range(2, n - k + 2, 2):
+                for legs in itertools.combinations(range(n - k + 1), s):
+                    legs = legs[::-1]
+                    arms = tuple(b + k - 1 for b in legs)
+                    lam = from_hooks(FrobeniusHooks(arms, legs))
+                    t = sum(lam) // 2
+                    dual = conjugate(lam)
+                    dim = hook_content_dim(dual, n)
+                    key = (t - k * s // 2, t)
+                    entries[key] = entries.get(key, 0) + dim
+                    provenance.setdefault(key, []).append((dual, dim))
+            table = jpw_closed_form(n, k)
+            assert table.entries == entries, (n, k)
+            assert {key: sorted(v) for key, v in table.provenance.items()} == {
+                key: sorted(v) for key, v in provenance.items()
+            }, (n, k)
 
 
 def test_jpw_scan_agrees_with_direct():
