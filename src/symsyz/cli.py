@@ -35,7 +35,7 @@ from .weyl import (
 
 USAGE_EXIT = 2
 INTERNAL_EXIT = 3
-MAX_WALK = 2 ** 17  # leg tuples in one hook-family walk
+MAX_WALK_LOG2 = 17  # at most 2^17 leg tuples in one hook-family walk (an exponent: no huge ints)
 
 
 def _fail(code: str, message: str, exit_code: int) -> int:
@@ -47,18 +47,18 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def walk_size(n: int, k: int) -> int:
-    """Leg tuples in the larger walk of `resolve` at r = n: 2^(n-k+1) for the
-    closed form, and 2^(n-k/2) over the enlarged base when k is even."""
-    return 2 ** (n - k // 2 if k % 2 == 0 else n - k + 1)
+def walk_log2(n: int, k: int) -> int:
+    """log2 of the leg tuples in the larger walk of `resolve` at r = n: 2^(n-k+1)
+    for the closed form, and 2^(n-k/2) over the enlarged base when k is even."""
+    return n - k // 2 if k % 2 == 0 else n - k + 1
 
 
 def cmd_resolve(args) -> int:
     if args.max_t is not None and args.max_t < 0:
         return _fail("invalid-params", f"--max-t must be >= 0, got {args.max_t}", USAGE_EXIT)
-    if 1 <= args.k < args.r == args.n and walk_size(args.n, args.k) > MAX_WALK:
-        return _fail("too-large", f"(n, k) = ({args.n}, {args.k}) walks"
-                     f" {walk_size(args.n, args.k)} leg tuples, more than {MAX_WALK}", USAGE_EXIT)
+    if 1 <= args.k < args.r == args.n and (bits := walk_log2(args.n, args.k)) > MAX_WALK_LOG2:
+        return _fail("too-large", f"(n, k) = ({args.n}, {args.k}) walks 2^{bits} leg tuples,"
+                     f" more than 2^{MAX_WALK_LOG2}", USAGE_EXIT)
     try:
         report = resolve(args.n, args.k, args.r, max_t=args.max_t)
     except ValueError as exc:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from symsyz import partitions, resolution
-from symsyz.cli import MAX_WALK, main, walk_size
+from symsyz.cli import MAX_WALK_LOG2, main, walk_log2
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -142,9 +142,10 @@ def test_resolve_refuses_negative_max_t(capsys):
     assert err.startswith("error:invalid-params:") and err.count("\n") == 1
 
 
-def test_resolve_refuses_oversized_walk_up_front(capsys):
+@pytest.mark.parametrize("n", ["20", "1000000000000"])
+def test_resolve_refuses_oversized_walk_up_front(capsys, n):
     start = time.perf_counter()
-    code, out, err = run(capsys, "resolve", "--n", "20", "--k", "1", "--r", "20")
+    code, out, err = run(capsys, "resolve", "--n", n, "--k", "1", "--r", n)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error:too-large:") and err.count("\n") == 1
@@ -152,12 +153,13 @@ def test_resolve_refuses_oversized_walk_up_front(capsys):
 
 def test_walk_size_boundary():
     # the closed form walks 2^(n-k+1) leg tuples, the enlarged base 2^(n-k/2)
-    assert walk_size(17, 1) == MAX_WALK < walk_size(18, 1)
-    assert walk_size(18, 2) == MAX_WALK < walk_size(19, 2)
-    assert walk_size(21, 8) == MAX_WALK < walk_size(22, 8)
-    assert walk_size(19, 3) == 2 ** 17
+    assert MAX_WALK_LOG2 == 17
+    assert walk_log2(17, 1) == 17 < walk_log2(18, 1)
+    assert walk_log2(18, 2) == 17 < walk_log2(19, 2)
+    assert walk_log2(21, 8) == 17 < walk_log2(22, 8)
+    assert walk_log2(19, 3) == 17
     # every instance the benchmark and the tests run has n - k <= 14
-    assert all(walk_size(n, k) <= MAX_WALK for n in range(2, 16) for k in range(1, n))
+    assert all(walk_log2(n, k) <= 17 for n in range(2, 16) for k in range(1, n))
 
 
 BREAKAGES = {
