@@ -12,7 +12,7 @@ import json
 import sys
 
 from .bott import ExchangeBoundExceeded, QDominantWeight, bott
-from .geometry import desing_data, opposite_cell_pattern
+from .geometry import PluckerMismatch, SliceEscape, desing_data, opposite_cell_pattern
 from .resolution import (
     BundleRankMismatch,
     RationalSingularityViolation,
@@ -22,6 +22,7 @@ from .resolution import (
 from .verify import DEFAULT_SUITES, run_suites
 from .weyl import (
     ParabolicMarker,
+    PermutationWordError,
     WeylElementC,
     avoids_patterns,
     family_element,
@@ -36,11 +37,26 @@ from .weyl import (
 USAGE_EXIT = 2
 INTERNAL_EXIT = 3
 MAX_WALK_LOG2 = 17  # at most 2^17 leg tuples in one hook-family walk (an exponent: no huge ints)
+# failed internal checks, each reported as one `error:<code>:` line with INTERNAL_EXIT
+INTEGRITY_CODES = {
+    RationalSingularityViolation: "rational-singularity-violation",
+    ArithmeticError: "non-integral-dimension",
+    ExchangeBoundExceeded: "exchange-bound",
+    BundleRankMismatch: "bundle-rank",
+    PluckerMismatch: "plucker-mismatch",
+    SliceEscape: "slice-escape",
+    PermutationWordError: "permutation-word",
+}
 
 
 def _fail(code: str, message: str, exit_code: int) -> int:
     print(f"error:{code}: {message}", file=sys.stderr)
     return exit_code
+
+
+def _integrity_failure(exc: Exception) -> int:
+    code = next(code for kind, code in INTEGRITY_CODES.items() if isinstance(exc, kind))
+    return _fail(code, str(exc), INTERNAL_EXIT)
 
 
 def _print_json(payload) -> None:
@@ -63,14 +79,8 @@ def cmd_resolve(args) -> int:
         report = resolve(args.n, args.k, args.r, max_t=args.max_t)
     except ValueError as exc:
         return _fail("invalid-params", str(exc), USAGE_EXIT)
-    except RationalSingularityViolation as exc:
-        return _fail("rational-singularity-violation", str(exc), INTERNAL_EXIT)
-    except ArithmeticError as exc:
-        return _fail("non-integral-dimension", str(exc), INTERNAL_EXIT)
-    except ExchangeBoundExceeded as exc:
-        return _fail("exchange-bound", str(exc), INTERNAL_EXIT)
-    except BundleRankMismatch as exc:
-        return _fail("bundle-rank", str(exc), INTERNAL_EXIT)
+    except tuple(INTEGRITY_CODES) as exc:
+        return _integrity_failure(exc)
     data = desing_data(args.n, args.k, args.r)
     if not report.supported():
         if args.format == "json":
@@ -210,7 +220,10 @@ def cmd_verify(args) -> int:
     unknown = [x for x in names if x not in DEFAULT_SUITES]
     if unknown:
         return _fail("unknown-suite", ",".join(unknown), USAGE_EXIT)
-    results = run_suites(args.seed, names, fast=args.fast)
+    try:
+        results = run_suites(args.seed, names, fast=args.fast)
+    except tuple(INTEGRITY_CODES) as exc:
+        return _integrity_failure(exc)
     failed = False
     for result in results:
         status = "PASS" if result.passed else "FAIL"

@@ -88,6 +88,14 @@ class NotInOppositeCellError(ValueError):
     """Raised when the upper-left block is singular."""
 
 
+class PluckerMismatch(RuntimeError):
+    """A Plucker minor disagrees with its closed form or its Bareiss value."""
+
+
+class SliceEscape(RuntimeError):
+    """A component of the product identification left its linear slice."""
+
+
 def opposite_cell_factor(z: BlockMatrix2n) -> tuple[em.Matrix, em.Matrix]:
     """Factor a symplectic z with invertible A as z1 * z2 with z1 lower
     unipotent (block D A^{-1}) and z2 block upper triangular in the
@@ -249,10 +257,12 @@ def plucker_restriction(n: int, k: int, r: int, i: int, j: int,
         raise ValueError(f"index pair {(i, j)} outside the treated ranges")
     m = cell_matrix(n, k, r, point) if matrix is None else matrix
     minor = _minor_det_unitriangular(m, cut, i, j)
-    if cross_check:
-        assert minor == _minor_det_bareiss(m, cut, i, j)
+    if cross_check and minor != (bareiss := _minor_det_bareiss(m, cut, i, j)):
+        raise PluckerMismatch(
+            f"minor/Bareiss mismatch at {(n, k, r, i, j)}: {minor} != {bareiss}"
+        )
     if minor != closed:
-        raise AssertionError(
+        raise PluckerMismatch(
             f"minor/closed-form mismatch at {(n, k, r, i, j)}: {minor} != {closed}"
         )
     return PluckerValue(Fraction(minor), Fraction(closed))
@@ -525,8 +535,8 @@ def _paste(m: em.Matrix, block: em.Matrix, row0: int, col0: int) -> None:
 
 def product_identification(n: int, k: int, r: int, matrix) -> tuple[em.Matrix, em.Matrix]:
     """Split a symplectic cell member into its two linear components: the
-    symmetric matrix D^T J A and the unipotent base factor A. Asserts that
-    the components land in the expected slices."""
+    symmetric matrix D^T J A and the unipotent base factor A. Raises
+    SliceEscape unless the components land in the expected slices."""
     pattern = opposite_cell_pattern(n, k, r, "G")
     m = em.from_rows(matrix)
     if not pattern.is_member(m):
@@ -535,11 +545,11 @@ def product_identification(n: int, k: int, r: int, matrix) -> tuple[em.Matrix, e
     j = em.antidiag(n)
     sym = em.mat_mul(em.transpose(d), em.mat_mul(j, a))
     if not v_slice(n, k, r).contains(sym):
-        raise AssertionError("symmetric component escapes its slice")
+        raise SliceEscape(f"symmetric component escapes its slice at {(n, k, r)}")
     l = r - k
     base_coords = [[a[i][jj] for jj in range(l)] for i in range(l, n)]
     if not v_prime_slice(n, k, r).contains(base_coords):
-        raise AssertionError("base component escapes its slice")
+        raise SliceEscape(f"base component escapes its slice at {(n, k, r)}")
     return sym, a
 
 

@@ -1,4 +1,5 @@
-"""Sparse exact multivariate polynomials over the rationals.
+"""Sparse exact multivariate polynomials with integer coefficients, rational
+only if a caller supplies ``Fraction``s.
 
 A monomial is a sorted tuple of (variable, exponent) pairs; variables are
 arbitrary hashable keys. Just enough arithmetic for minors of symbolic
@@ -8,6 +9,8 @@ matrices and for rank computations on spans of polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 
 Monomial = tuple[tuple[object, int], ...]
 
@@ -15,7 +18,7 @@ Monomial = tuple[tuple[object, int], ...]
 class Poly:
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
+    def __init__(self, terms: dict[Monomial, int] | None = None):
         self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
 
     @staticmethod
@@ -24,12 +27,11 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        c = Fraction(c)
-        return Poly({(): c} if c else {})
+        return Poly({(): c})
 
     @staticmethod
     def var(name) -> "Poly":
-        return Poly({((name, 1),): Fraction(1)})
+        return Poly({((name, 1),): 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -43,34 +45,28 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms.get(m, 0) + c
         return Poly(terms)
 
     def __sub__(self, other: "Poly") -> "Poly":
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) - c
+            terms[m] = terms.get(m, 0) - c
         return Poly(terms)
 
     def __neg__(self) -> "Poly":
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mul_monomials(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+                out[m] = out.get(m, 0) + c1 * c2
         return Poly(out)
 
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly({m: c * cm for m, cm in self.terms.items()})
-
     def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in m) for m in self.terms)
+        return max((sum(e for _, e in m) for m in self.terms), default=0)
 
     def evaluate(self, values: dict) -> Fraction:
         total = Fraction(0)
@@ -86,11 +82,7 @@ class Poly:
 
     def sign_canonical(self) -> "Poly":
         """Normalise so the coefficient of the largest monomial is positive."""
-        if not self.terms:
-            return self
-        if self.terms[self.leading_key()] < 0:
-            return -self
-        return self
+        return -self if self.terms and self.terms[self.leading_key()] < 0 else self
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -104,55 +96,61 @@ class Poly:
         return " + ".join(bits)
 
 
+# a monomial lists its variables in the order of their reprs
+_variable_order = lru_cache(maxsize=None)(lambda pair: repr(pair[0]))
+
+
 def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     exps: dict[object, int] = dict(m1)
     for v, e in m2:
         exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items(), key=lambda p: repr(p[0])))
+    return tuple(sorted(exps.items(), key=_variable_order))
 
 
 def poly_det(rows: list[list[Poly]]) -> Poly:
-    """Determinant of a square matrix of polynomials by cofactor expansion."""
+    """Determinant of a square matrix of polynomials by memoized Laplace
+    expansion along the rows: an s-by-s matrix costs 2^s sub-determinants,
+    one per set of remaining columns (the row is implied by its size)."""
     n = len(rows)
-    if n == 0:
-        return Poly.const(1)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
+    memo = {(): Poly.const(1)}
 
-    def expand(row_start: int, cols: tuple[int, ...]) -> Poly:
-        if not cols:
-            return Poly.const(1)
-        total = Poly.zero()
-        for pos, col in enumerate(cols):
-            entry = rows[row_start][col]
-            if not entry:
-                continue
-            sub = expand(row_start + 1, cols[:pos] + cols[pos + 1:])
-            term = entry * sub
-            total = total + term if pos % 2 == 0 else total - term
-        return total
+    def expand(cols: tuple[int, ...]) -> Poly:
+        if cols not in memo:
+            row, total = rows[n - len(cols)], Poly.zero()
+            for pos, col in enumerate(cols):
+                if row[col]:
+                    term = row[col] * expand(cols[:pos] + cols[pos + 1:])
+                    total = total + term if pos % 2 == 0 else total - term
+            memo[cols] = total
+        return memo[cols]
 
-    return expand(0, tuple(range(n)))
+    return expand(tuple(range(n)))
 
 
 def span_rank_and_basis(polys: list[Poly]) -> tuple[int, list[Poly]]:
-    """Rank of the linear span, plus a subset of the input forming a basis.
-
-    Sparse Gaussian elimination on monomial coordinates, exact over Q.
-    """
-    reduced: list[Poly] = []  # pairwise-distinct leading monomials
+    """Rank of the linear span, plus the inputs independent of those before
+    them (a basis, in input order), by fraction-free echelon over ℤ: rows are
+    kept by leading monomial, only leading terms are eliminated, and each step
+    divides out the content. Rational inputs are cleared once, at entry."""
+    pivots: dict[Monomial, dict[Monomial, int]] = {}
     basis: list[Poly] = []
     for original in polys:
-        p = original
-        changed = True
-        while changed and p:
-            changed = False
-            for q in reduced:
-                lk = q.leading_key()
-                if lk in p.terms:
-                    p = p - q.scale(p.terms[lk] / q.terms[lk])
-                    changed = True
-        if p:
-            reduced.append(p)
-            basis.append(original)
-    return len(reduced), basis
+        den = lcm(*(c.denominator for c in original.terms.values()))
+        p = {m: int(c * den) for m, c in original.terms.items()}
+        while p:
+            lead = max(p)
+            if lead not in pivots:
+                pivots[lead] = p
+                basis.append(original)
+                break
+            q = pivots[lead]
+            g = gcd(p[lead], q[lead])
+            a, b = q[lead] // g, p[lead] // g
+            p = {m: a * c for m, c in p.items()}
+            for m, c in q.items():
+                p[m] = p.get(m, 0) - b * c
+            content = gcd(*p.values())  # 0 only when p vanished
+            p = {m: c // content for m, c in p.items() if c}
+    return len(basis), basis

@@ -228,11 +228,11 @@ def minor_generators(n: int, k: int) -> list[Poly]:
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got {(n, k)}")
-    size = k + 1
+    subsets = list(itertools.combinations(range(1, n + 1), k + 1))
     seen = set()
     minors = []
-    for rows in itertools.combinations(range(1, n + 1), size):
-        for cols in itertools.combinations(range(1, n + 1), size):
+    for start, rows in enumerate(subsets):
+        for cols in subsets[start:]:  # minor(R, C) = minor(C, R): expand R <= C only
             det = poly_det(
                 [[generic_symmetric_entry(i, j) for j in cols] for i in rows]
             ).sign_canonical()

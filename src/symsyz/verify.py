@@ -12,6 +12,7 @@ from . import exactmat as em
 from .bott import QDominantWeight, bott
 from .geometry import (
     BlockMatrix2n,
+    PluckerMismatch,
     cell_cuts,
     cell_matrix,
     desing_data,
@@ -92,7 +93,7 @@ def plucker_suite(seed: int, n_max: int = 5, points_per_case: int = 200,
                 try:
                     plucker_restriction(n, k, r, i, j, point, cross_check=cross,
                                         matrix=matrix)
-                except AssertionError as exc:
+                except PluckerMismatch as exc:
                     return SuiteResult("plucker", False, str(exc))
                 checked += 1
     return SuiteResult("plucker", True, f"{checked} minors matched exactly")

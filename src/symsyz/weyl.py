@@ -13,6 +13,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
+class PermutationWordError(RuntimeError):
+    """A word built to be a permutation is not one."""
+
+
 def is_permutation_word(word: Sequence[int]) -> bool:
     """True iff word is a bijection on {1..N} in one-line notation."""
     n = len(word)
@@ -177,7 +181,8 @@ class WeylElementC:
         n, half = self.n, self.half_word
         tail = tuple(primed(half[2 * n - i], n) for i in range(n + 1, 2 * n + 1))
         word = half + tail
-        assert is_permutation_word(word)
+        if not is_permutation_word(word):
+            raise PermutationWordError(f"full word {word} of {half} is not a permutation")
         return word
 
     @staticmethod

@@ -3,14 +3,16 @@
 Everything here is deliberately written from first principles, without
 touching the library's own code paths: breadth-first reduced words,
 explicit tableau enumeration, the hook-content formula, the rho-shift
-formulation of the sorting algorithm, and a mod-p Koszul-homology
-computation of graded Betti numbers.
+formulation of the sorting algorithm, Gaussian elimination over Q that
+rescans every reduced row, and a mod-p Koszul-homology computation of
+graded Betti numbers.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -160,6 +162,32 @@ def symmetric_minor_polys(n: int, size: int) -> list[dict[tuple[int, ...], int]]
                 seen.add(canon)
                 polys.append(terms)
     return polys
+
+
+def span_rank_by_scan(polys: list[dict]) -> tuple[int, list[int]]:
+    """Rank of the span of {monomial: coefficient} polynomials, and the
+    indices of the inputs independent of those before them. Sparse Gaussian
+    elimination over Q that rescans every reduced row, by its largest
+    monomial, until none applies."""
+    reduced: list[dict] = []
+    kept: list[int] = []
+    for index, poly in enumerate(polys):
+        p = {m: Fraction(c) for m, c in poly.items() if c}
+        changed = True
+        while changed and p:
+            changed = False
+            for q in reduced:
+                lead = max(q)
+                if lead in p:
+                    factor = p[lead] / q[lead]
+                    for m, c in q.items():
+                        p[m] = p.get(m, 0) - factor * c
+                    p = {m: c for m, c in p.items() if c}
+                    changed = True
+        if p:
+            reduced.append(p)
+            kept.append(index)
+    return len(reduced), kept
 
 
 def _perm_sign(perm) -> int:

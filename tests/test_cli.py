@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from symsyz import partitions, resolution
+from symsyz import geometry, partitions, resolution
 from symsyz.cli import MAX_WALK_LOG2, main, walk_log2
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -200,3 +200,26 @@ def test_resolve_integrity_check_survives_optimize(capsys):
     assert broken.returncode == 3 and broken.stdout == ""
     assert broken.stderr.startswith("error:non-integral-dimension:")
     assert broken.stderr.count("\n") == 1
+
+
+def test_verify_plucker_cross_check_survives_optimize():
+    # the Bareiss cross-check is an explicit raise: under python -O a wrong
+    # Bareiss value still turns into a FAIL plucker line, not a silent PASS
+    argv = ["verify", "--fast", "--seed", "0", "--suites", "plucker"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    script = ("import sys, symsyz.geometry as g, symsyz.cli as cli;"
+              " g._minor_det_bareiss = lambda *args: 10**9 + 7;"
+              " sys.exit(cli.main(sys.argv[1:]))")
+    broken = subprocess.run([sys.executable, "-O", "-c", script, *argv],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert broken.returncode == 1 and broken.stderr == ""
+    assert broken.stdout.startswith("FAIL plucker: minor/Bareiss mismatch at ")
+    assert broken.stdout.count("\n") == 1
+
+
+def test_verify_slice_escape_exits_3(capsys, monkeypatch):
+    # product_identification checks that both components stay in their slices
+    monkeypatch.setattr(geometry.LinearSlice, "contains", lambda self, matrix: False)
+    code, out, err = run(capsys, "verify", "--fast", "--suites", "weyl,product")
+    assert code == 3 and out == ""
+    assert err.startswith("error:slice-escape:") and err.count("\n") == 1

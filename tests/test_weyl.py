@@ -2,6 +2,7 @@ import pytest
 
 from symsyz.weyl import (
     ParabolicMarker,
+    PermutationWordError,
     WeylElementC,
     avoids_patterns,
     bruhat_leq,
@@ -192,3 +193,11 @@ def test_w_tilde_small_symplectic_case():
     full = w.full_word()
     expected = tuple(sorted(full[:1]) + sorted(full[1:2]) + sorted(full[2:3]) + sorted(full[3:]))
     assert tilde.full_word() == expected == (2, 4, 1, 3)
+
+
+def test_full_word_checks_it_is_a_permutation():
+    w = WeylElementC(2, (1, 3))
+    assert w.full_word() == (1, 3, 2, 4)
+    object.__setattr__(w, "half_word", (1, 1))  # a state the constructor refuses
+    with pytest.raises(PermutationWordError):
+        w.full_word()
