@@ -55,7 +55,6 @@ from .weyl import (
     length_A,
     length_C,
     m_value,
-    tangent_dim_at_id,
     w_max_rep,
     w_tilde_min_rep,
 )

@@ -155,41 +155,44 @@ def cmd_bott(args) -> int:
 def cmd_schubert(args) -> int:
     try:
         w = family_element(args.n, args.k, args.r)
+        tilde = w_tilde_min_rep(w, ParabolicMarker((args.r - args.k, args.n)))
+        wmax = w_max_rep(args.n, args.k, args.r)
+        wmax_elt = WeylElementC.from_full_word(wmax)
+        w_full, w_tilde = w.full_word(), tilde.full_word()
+        lengths = {
+            "l_C(w)": length_C(w),
+            "l_A(full)": length_A(w_full),
+            "m": m_value(w),
+            "l_C(w_max)": length_C(wmax_elt),
+        }
+        smooth = tangent_dim_at_id_C(wmax_elt) == length_C(wmax_elt)
+        avoiding = avoids_patterns(wmax, [(4, 2, 3, 1), (3, 1, 4, 2)])
+        cell_dimension = opposite_cell_pattern(args.n, args.k, args.r).dimension()
+        data = desing_data(args.n, args.k, args.r)
     except ValueError as exc:
         return _fail("invalid-params", str(exc), USAGE_EXIT)
-    marker = ParabolicMarker((args.r - args.k, args.n))
-    tilde = w_tilde_min_rep(w, marker)
-    wmax = w_max_rep(args.n, args.k, args.r)
-    data = desing_data(args.n, args.k, args.r)
-    pattern = opposite_cell_pattern(args.n, args.k, args.r, "G")
-    wmax_elt = WeylElementC.from_full_word(wmax)
-    smooth = tangent_dim_at_id_C(wmax_elt) == length_C(wmax_elt)
-    avoiding = avoids_patterns(wmax, [(4, 2, 3, 1), (3, 1, 4, 2)])
+    except tuple(INTEGRITY_CODES) as exc:
+        return _integrity_failure(exc)
     if args.format == "json":
         _print_json({
             "params": {"n": args.n, "k": args.k, "r": args.r},
             "w": list(w.half_word),
-            "w_full": list(w.full_word()),
-            "w_tilde": list(tilde.full_word()),
+            "w_full": list(w_full),
+            "w_tilde": list(w_tilde),
             "w_max": list(wmax),
-            "lengths": {
-                "l_C(w)": length_C(w),
-                "l_A(full)": length_A(w.full_word()),
-                "m": m_value(w),
-                "l_C(w_max)": length_C(wmax_elt),
-            },
+            "lengths": lengths,
             "smooth_total_space": smooth,
             "pattern_avoiding": avoiding,
-            "cell_dimension": pattern.dimension(),
+            "cell_dimension": cell_dimension,
             "geometry": _desing_dict(data),
         })
     else:
-        print(f"w       = {w.half_word} (half word), length {length_C(w)}")
-        print(f"w~      = {tilde.full_word()}")
+        print(f"w       = {w.half_word} (half word), length {lengths['l_C(w)']}")
+        print(f"w~      = {w_tilde}")
         print(f"w_max   = {wmax}")
         print(f"smooth desingularisation: tangent=length {smooth};"
               f" 4231/3142 avoiding {avoiding}")
-        print(f"opposite cell pattern: {pattern.dimension()} free coordinates")
+        print(f"opposite cell pattern: {cell_dimension} free coordinates")
         _print_desing(data)
     return 0
 

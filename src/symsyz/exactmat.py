@@ -1,5 +1,7 @@
-"""Small exact matrix toolkit over Fraction/int: block assembly, products,
-inverses, and fraction-free determinants. Matrices are lists of lists."""
+"""Small exact matrix toolkit over int/Fraction: block assembly, products,
+inverses, and fraction-free determinants. Matrices are lists of lists.
+Integer inputs stay plain ints; a Fraction appears only where a division
+really leaves one (an inverse, a rational product or determinant)."""
 
 from __future__ import annotations
 
@@ -7,30 +9,24 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-Matrix = list[list[Fraction]]
+Matrix = list[list]  # int or Fraction entries
 
 
 def zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
+    return [[0] * cols for _ in range(rows)]
 
 
 def identity(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def antidiag(n: int) -> Matrix:
     """The antidiagonal matrix J of ones."""
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][n - 1 - i] = Fraction(1)
-    return m
+    return [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
 
 
 def from_rows(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+    return [list(row) for row in rows]
 
 
 def shape(m: Matrix) -> tuple[int, int]:
@@ -55,7 +51,15 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     ia, da = _scaled(a)
     ib, db = _scaled(transpose(b))
     den = da * db
-    return [[Fraction(sum(map(mul, row, col)), den) for col in ib] for row in ia]
+    if den == 1:
+        return [[sum(map(mul, row, col)) for col in ib] for row in ia]
+    return [[_exact(sum(map(mul, row, col)), den) for col in ib] for row in ia]
+
+
+def _exact(num: int, den: int):
+    """num / den as an int when it divides, as a Fraction otherwise."""
+    q, rest = divmod(num, den)
+    return Fraction(num, den) if rest else q
 
 
 def _scaled(m: Matrix) -> tuple[list[list[int]], int]:
@@ -99,7 +103,7 @@ def inverse(m: Matrix) -> Matrix:
     n, c = shape(m)
     if n != c:
         raise ValueError("inverse needs a square matrix")
-    work = [[Fraction(x) for x in row] + list(identity(n)[i]) for i, row in enumerate(m)]
+    work = [[Fraction(x) for x in row] + unit for row, unit in zip(m, identity(n))]
     for col in range(n):
         pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
         if pivot is None:
@@ -137,5 +141,4 @@ def det_bareiss(m: Matrix):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    value = Fraction(sign * a[n - 1][n - 1], den ** n)
-    return int(value) if value.denominator == 1 else value
+    return _exact(sign * a[n - 1][n - 1], den ** n)

@@ -151,13 +151,9 @@ def cell_cuts(n: int, k: int, r: int) -> tuple[int, int, int]:
     return (r - k, n, 2 * n - (r - k))
 
 
-def free_positions(n: int, k: int, r: int) -> list[tuple[int, int]]:
-    """Positions (i, j) with j <= cut < i for one of the three cuts."""
-    return list(_free_positions(n, k, r))
-
-
 @lru_cache(maxsize=None)
-def _free_positions(n: int, k: int, r: int) -> tuple[tuple[int, int], ...]:
+def free_positions(n: int, k: int, r: int) -> tuple[tuple[int, int], ...]:
+    """Positions (i, j) with j <= cut < i for one of the three cuts."""
     cuts = cell_cuts(n, k, r)
     return tuple(
         (i, j)
@@ -172,7 +168,7 @@ def random_cell_point(n: int, k: int, r: int, rng: random.Random,
     """Random integer coordinates on the free positions."""
     return {
         pos: rng.randint(-bound, bound)
-        for pos in _free_positions(n, k, r)
+        for pos in free_positions(n, k, r)
     }
 
 
@@ -180,7 +176,7 @@ def cell_matrix(n: int, k: int, r: int, point: dict) -> em.Matrix:
     """Assemble the lower unidiagonal 2n-by-2n matrix of a cell point. The
     entries are the point's own exact values, so an integer point gives an
     integer matrix and its minors stay in integer arithmetic."""
-    free = _free_positions(n, k, r)
+    free = free_positions(n, k, r)
     m = [[int(a == b) for b in range(2 * n)] for a in range(2 * n)]
     for (i, j), value in point.items():
         if (i, j) not in free:
@@ -219,8 +215,8 @@ def _minor_det_bareiss(m: em.Matrix, l: int, i: int, j: int):
 
 @dataclass(frozen=True)
 class PluckerValue:
-    minor: Fraction
-    closed_form: Fraction
+    minor: int | Fraction
+    closed_form: int | Fraction
 
 
 def plucker_restriction(n: int, k: int, r: int, i: int, j: int,
@@ -265,7 +261,7 @@ def plucker_restriction(n: int, k: int, r: int, i: int, j: int,
         raise PluckerMismatch(
             f"minor/closed-form mismatch at {(n, k, r, i, j)}: {minor} != {closed}"
         )
-    return PluckerValue(Fraction(minor), Fraction(closed))
+    return PluckerValue(minor, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +280,6 @@ class CellPattern:
     n: int
     k: int
     r: int
-    group: str
     free: tuple[tuple[int, int], ...]
     entries: dict
 
@@ -310,17 +305,16 @@ class CellPattern:
         return True
 
 
-def opposite_cell_pattern(n: int, k: int, r: int, group: str = "G") -> CellPattern:
-    """Constrained block pattern of the opposite cell of the distinguished
-    Schubert variety, for the special linear ('H') or symplectic ('G') case.
+def opposite_cell_pattern(n: int, k: int, r: int) -> CellPattern:
+    """Constrained block pattern of the symplectic opposite cell of the
+    distinguished Schubert variety.
 
-    In both cases the two lower-left blocks vanish, the bottom band of the
-    first column block of coordinates is zero, and the bottom-middle block
-    couples as a product; the symplectic case further ties the bottom band
-    to the first band and makes the middle block symmetric under J.
+    The two lower-left blocks vanish, the bottom band of the first column
+    block of coordinates is zero, the bottom band is tied to the first band,
+    the middle block is symmetric under J, and the bottom-middle block
+    couples as a product. ``OppositeCellPoint`` is the same cell in block
+    form; this symbolic form is the independent check on it.
     """
-    if group not in ("H", "G"):
-        raise ValueError("group must be 'H' or 'G'")
     l, mid, big = cell_cuts(n, k, r)
     q = n - l
     entries: dict[tuple[int, int], Poly] = {}
@@ -337,34 +331,20 @@ def opposite_cell_pattern(n: int, k: int, r: int, group: str = "G") -> CellPatte
                 set_free(i, j)
             else:
                 entries[(i, j)] = Poly.zero()
-    # middle block D2: rows n+1..big, columns l+1..n
-    if group == "H":
-        for i in range(n + 1, big + 1):
-            for j in range(l + 1, n + 1):
+    # middle block D2: rows n+1..big, columns l+1..n; J D2 symmetric, so
+    # mirror-diagonal pairs share one coordinate
+    for i in range(n + 1, big + 1):
+        for j in range(l + 1, n + 1):
+            mi, mj = _d2_mirror(n, l, i, j)
+            if (mi, mj) in entries:
+                entries[(i, j)] = entries[(mi, mj)]
+            else:
                 set_free(i, j)
-        # E': rows big+1..2n, columns n+1..big, left n-r columns zero
-        for i in range(big + 1, 2 * n + 1):
-            for j in range(n + 1, big + 1):
-                if j - n > n - r:
-                    set_free(i, j)
-                else:
-                    entries[(i, j)] = Poly.zero()
-    else:
-        # J D2 symmetric: mirror-diagonal pairs share one coordinate
-        for i in range(n + 1, big + 1):
-            for j in range(l + 1, n + 1):
-                mi, mj = _d2_mirror(n, l, i, j)
-                if (mi, mj) in entries:
-                    entries[(i, j)] = entries[(mi, mj)]
-                else:
-                    set_free(i, j)
-        # E' = -J (A')^T J, entrywise: e'[s][t] = -a'[q+1-t][l+1-s]
-        for i in range(big + 1, 2 * n + 1):
-            for j in range(n + 1, big + 1):
-                s, t = i - big, j - n
-                ai = l + (q + 1 - t)
-                aj = l + 1 - s
-                entries[(i, j)] = -entries[(ai, aj)]
+    # E' = -J (A')^T J, entrywise: e'[s][t] = -a'[q+1-t][l+1-s]
+    for i in range(big + 1, 2 * n + 1):
+        for j in range(n + 1, big + 1):
+            s, t = i - big, j - n
+            entries[(i, j)] = -entries[(l + (q + 1 - t), l + 1 - s)]
     # coupled block: rows big+1..2n, columns l+1..n equal E' D2
     for i in range(big + 1, 2 * n + 1):
         for j in range(l + 1, n + 1):
@@ -376,7 +356,7 @@ def opposite_cell_pattern(n: int, k: int, r: int, group: str = "G") -> CellPatte
     for i in range(1, 2 * n + 1):
         for j in range(1, i):
             entries.setdefault((i, j), Poly.zero())
-    return CellPattern(n, k, r, group, tuple(free), entries)
+    return CellPattern(n, k, r, tuple(free), entries)
 
 
 def _d2_mirror(n: int, l: int, i: int, j: int) -> tuple[int, int]:
@@ -388,13 +368,20 @@ def _d2_mirror(n: int, l: int, i: int, j: int) -> tuple[int, int]:
 
 def random_symplectic_cell_point(n: int, k: int, r: int, rng: random.Random,
                                  bound: int = 6) -> em.Matrix:
-    """Random member of the symplectic opposite-cell pattern."""
-    pattern = opposite_cell_pattern(n, k, r, "G")
-    values = {_xvar(i, j): Fraction(rng.randint(-bound, bound)) for (i, j) in pattern.free}
-    m = em.identity(2 * n)
-    for (i, j), poly in pattern.entries.items():
-        m[i - 1][j - 1] = poly.evaluate(values)
-    return m
+    """Random integer member of the symplectic opposite cell, assembled from
+    its blocks. The draws follow ``opposite_cell_pattern(n, k, r).free``:
+    the nonzero rows of A' row by row, then D2 row by row, where an entry
+    whose J-mirror came earlier copies it instead of drawing."""
+    l = cell_cuts(n, k, r)[0]
+    q = n - l
+    draw = lambda: rng.randint(-bound, bound)
+    a_prime = [[draw() for _ in range(l)] if i < r - l else [0] * l for i in range(q)]
+    d2 = [[0] * q for _ in range(q)]
+    for s in range(q):
+        for t in range(q):
+            mirror = (q - 1 - t, q - 1 - s)
+            d2[s][t] = d2[mirror[0]][mirror[1]] if mirror < (s, t) else draw()
+    return cell_point_from_blocks(n, k, r, a_prime, d2)
 
 
 # ---------------------------------------------------------------------------
@@ -494,37 +481,42 @@ class OppositeCellPoint:
 
     @property
     def e_prime(self) -> em.Matrix:
+        """-J (A')^T J, entrywise e'[s][t] = -a'[q-1-t][l-1-s]."""
         l, q = self.r - self.k, self.n - (self.r - self.k)
-        at = em.transpose(em.from_rows(self.a_prime))
-        return em.mat_neg(em.mat_mul(em.antidiag(l), em.mat_mul(at, em.antidiag(q))))
+        return [[-self.a_prime[q - 1 - t][l - 1 - s] for t in range(q)] for s in range(l)]
 
     def matrix(self) -> em.Matrix:
         l, mid, big = cell_cuts(self.n, self.k, self.r)
         e_prime = self.e_prime
         m = em.identity(2 * self.n)
-        _paste(m, em.from_rows(self.a_prime), l, 0)
-        _paste(m, em.from_rows(self.d2), self.n, l)
+        _paste(m, self.a_prime, l, 0)
+        _paste(m, self.d2, self.n, l)
         _paste(m, e_prime, big, self.n)
-        _paste(m, em.mat_mul(e_prime, em.from_rows(self.d2)), big, l)
+        _paste(m, em.mat_mul(e_prime, self.d2), big, l)
         return m
 
     @staticmethod
     def from_matrix(n: int, k: int, r: int, matrix) -> "OppositeCellPoint":
+        """Read A' and D2 off a 2n-by-2n matrix; raises ValueError unless the
+        matrix is exactly the point those blocks determine."""
         m = em.from_rows(matrix)
-        if not opposite_cell_pattern(n, k, r, "G").is_member(m):
+        if em.shape(m) != (2 * n, 2 * n):
             raise ValueError("matrix does not satisfy the cell pattern")
-        l = r - k
+        l = cell_cuts(n, k, r)[0]
         q = n - l
-        a_prime = [[m[l + i][j] for j in range(l)] for i in range(q)]
-        d2 = [[m[n + i][l + j] for j in range(q)] for i in range(q)]
-        return OppositeCellPoint(n, k, r, tuple(map(tuple, a_prime)), tuple(map(tuple, d2)))
+        point = OppositeCellPoint(
+            n, k, r,
+            tuple(tuple(m[l + i][:l]) for i in range(q)),
+            tuple(tuple(m[n + i][l:n]) for i in range(q)),
+        )
+        if point.matrix() != m:
+            raise ValueError("matrix does not satisfy the cell pattern")
+        return point
 
 
 def cell_point_from_blocks(n: int, k: int, r: int, a_prime, d2) -> em.Matrix:
     """Assembled matrix of the cell point with the given blocks."""
-    return OppositeCellPoint(
-        n, k, r, tuple(map(tuple, a_prime)), tuple(map(tuple, d2))
-    ).matrix()
+    return OppositeCellPoint(n, k, r, a_prime, d2).matrix()
 
 
 def _paste(m: em.Matrix, block: em.Matrix, row0: int, col0: int) -> None:
@@ -536,11 +528,10 @@ def _paste(m: em.Matrix, block: em.Matrix, row0: int, col0: int) -> None:
 def product_identification(n: int, k: int, r: int, matrix) -> tuple[em.Matrix, em.Matrix]:
     """Split a symplectic cell member into its two linear components: the
     symmetric matrix D^T J A and the unipotent base factor A. Raises
-    SliceEscape unless the components land in the expected slices."""
-    pattern = opposite_cell_pattern(n, k, r, "G")
+    ValueError unless the matrix is a cell point, and SliceEscape unless the
+    components land in the expected slices."""
     m = em.from_rows(matrix)
-    if not pattern.is_member(m):
-        raise ValueError("matrix does not satisfy the cell pattern")
+    OppositeCellPoint.from_matrix(n, k, r, m)
     a, c, d, e = em.split4(m, n, n)
     j = em.antidiag(n)
     sym = em.mat_mul(em.transpose(d), em.mat_mul(j, a))

@@ -322,16 +322,3 @@ def tangent_dim_at_id_C(w: WeylElementC) -> int:
     if total % 2:
         raise ValueError(f"tangent dimension parity violated for {w}")
     return total // 2
-
-
-def tangent_dim_at_id(w, marker: ParabolicMarker | None = None) -> int:
-    """Tangent dimension at the identity coset, dispatching on element type.
-
-    Type-A words require a parabolic marker; type-C elements are measured in
-    the full flag variety.
-    """
-    if isinstance(w, WeylElementC):
-        return tangent_dim_at_id_C(w)
-    if marker is None:
-        raise ValueError("type-A tangent dimension needs a parabolic marker")
-    return tangent_dim_at_id_A(w, marker)

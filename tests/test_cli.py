@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from symsyz import geometry, partitions, resolution
+from symsyz import geometry, partitions, resolution, verify, weyl
 from symsyz.cli import MAX_WALK_LOG2, main, walk_log2
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -223,3 +223,31 @@ def test_verify_slice_escape_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--fast", "--suites", "weyl,product")
     assert code == 3 and out == ""
     assert err.startswith("error:slice-escape:") and err.count("\n") == 1
+
+
+def test_verify_rejected_product_point_is_a_fail_line(capsys, monkeypatch):
+    # a generated point that product_identification refuses is a FAIL line,
+    # not a traceback; the first point of the case passes the pattern check
+    real = verify.random_symplectic_cell_point
+    drawn = []
+
+    def generator(n, k, r, rng):
+        drawn.append((n, k, r))
+        return real(n, k, r, rng) if len(drawn) == 1 else geometry.symplectic_form(n)
+
+    monkeypatch.setattr(verify, "random_symplectic_cell_point", generator)
+    code, out, err = run(capsys, "verify", "--fast", "--suites", "product")
+    assert code == 1 and err == "" and len(drawn) == 2
+    assert out == "FAIL product: matrix does not satisfy the cell pattern at (2, 1, 2)\n"
+
+
+def test_schubert_integrity_failure_exits_3(capsys, monkeypatch):
+    def broken(self):
+        raise weyl.PermutationWordError(f"full word of {self.half_word} is not a permutation")
+
+    monkeypatch.setattr(weyl.WeylElementC, "full_word", broken)
+    for fmt in ("json", "table"):
+        code, out, err = run(capsys, "schubert", "--n", "4", "--k", "1", "--r", "3",
+                             "--format", fmt)
+        assert code == 3 and out == ""
+        assert err.startswith("error:permutation-word:") and err.count("\n") == 1

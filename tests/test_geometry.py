@@ -7,6 +7,7 @@ from symsyz import exactmat as em
 from symsyz.geometry import (
     BlockMatrix2n,
     NotInOppositeCellError,
+    OppositeCellPoint,
     cell_cuts,
     cell_point_from_blocks,
     desing_data,
@@ -145,12 +146,14 @@ def test_plucker_rejects_outside_range():
 
 
 def test_pattern_example_entry():
-    pattern = opposite_cell_pattern(5, 2, 4, "H")
+    pattern = opposite_cell_pattern(5, 2, 4)
+    # coupled block: row 9 of E' = -J (A')^T J times column 3 of D2, where
+    # E'[9][6] = -x(5, 2) vanishes with the bottom row of the first band
     entry = pattern.entry(9, 3)
     x = lambda i, j: ("x", i, j)
     assert entry.terms == {
-        ((x(7, 3), 1), (x(9, 7), 1)): Fraction(1),
-        ((x(8, 3), 1), (x(9, 8), 1)): Fraction(1),
+        ((x(3, 2), 1), (x(8, 3), 1)): -1,
+        ((x(4, 2), 1), (x(7, 3), 1)): -1,
     }
     # identity matrix is a member (all free coordinates zero)
     assert pattern.is_member(em.identity(10))
@@ -165,13 +168,13 @@ def test_pattern_membership_implies_symplectic():
     for n, k, r in all_parameters(5):
         m = random_symplectic_cell_point(n, k, r, rng)
         assert is_symplectic(BlockMatrix2n.from_matrix(m))
-        assert opposite_cell_pattern(n, k, r, "G").is_member(m)
+        assert opposite_cell_pattern(n, k, r).is_member(m)
 
 
 def test_pattern_dimensions():
     # symplectic pattern dimension equals the cell dimension of the variety
     for n, k, r in all_parameters(5):
-        pattern = opposite_cell_pattern(n, k, r, "G")
+        pattern = opposite_cell_pattern(n, k, r)
         assert pattern.dimension() == desing_data(n, k, r).dim_y
 
 
@@ -286,8 +289,6 @@ def test_minor_suite_rejects_miswired_product():
 
 
 def test_opposite_cell_point_type():
-    from symsyz.geometry import OppositeCellPoint
-
     point = OppositeCellPoint(3, 1, 2, ((2,), (0,)), ((1, 2), (3, 1)))
     assert is_symplectic(BlockMatrix2n.from_matrix(point.matrix()))
     back = OppositeCellPoint.from_matrix(3, 1, 2, point.matrix())
@@ -301,3 +302,54 @@ def test_product_identification_rejects_non_members():
     bad[3][0] = Fraction(1)  # breaks the unipotent cell shape
     with pytest.raises(ValueError):
         product_identification(3, 1, 2, bad)
+
+
+def _pattern_point(pattern, rng, bound=6):
+    """Evaluate the symbolic pattern on draws in its free order."""
+    values = {("x", i, j): rng.randint(-bound, bound) for (i, j) in pattern.free}
+    m = em.identity(2 * pattern.n)
+    for (i, j), poly in pattern.entries.items():
+        m[i - 1][j - 1] = poly.evaluate(values)
+    return m
+
+
+def test_block_form_draws_the_pattern_point():
+    rng = random.Random(41)
+    for n, k, r in all_parameters(5):
+        pattern = opposite_cell_pattern(n, k, r)
+        for _ in range(5):
+            clone = random.Random()
+            clone.setstate(rng.getstate())
+            m = random_symplectic_cell_point(n, k, r, rng)
+            assert m == _pattern_point(pattern, clone), (n, k, r)
+            assert rng.getstate() == clone.getstate()
+            assert all(type(x) is int for row in m for x in row)
+
+
+def test_from_matrix_accepts_exactly_the_pattern_members():
+    rng = random.Random(43)
+
+    def agree(n, k, r, pattern, m):
+        try:
+            OppositeCellPoint.from_matrix(n, k, r, m)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == pattern.is_member(m), (n, k, r, m)
+        return accepted
+
+    for n, k, r in all_parameters(5):
+        pattern = opposite_cell_pattern(n, k, r)
+        size = 2 * n
+        m = random_symplectic_cell_point(n, k, r, rng)
+        assert agree(n, k, r, pattern, m)
+        rejected = 0
+        for i in range(size):  # every entry, above, on and below the diagonal
+            for j in range(size):
+                bad = [list(row) for row in m]
+                bad[i][j] += rng.choice((-2, -1, 1, 2))
+                rejected += not agree(n, k, r, pattern, bad)
+        assert rejected > size * size // 2
+        for rows, cols in ((size - 1, size - 1), (size, size + 1), (size + 2, size), (0, 0)):
+            wrong = [[int(a == b) for b in range(cols)] for a in range(rows)]
+            assert not agree(n, k, r, pattern, wrong)

@@ -5,11 +5,16 @@ table by name and reads `enumerate_Q.cache_info()`, and
 perfbench/gencount.py imports names from symsyz; a rename or deletion in
 symsyz would surface only in a benchmark run, since Tier-1 does not collect
 perfbench/. Both files are read from the source, without importing them.
+The benchmark also checks the PASS lines of `verify --fast`; the same
+checker, loaded from perfbench/checks.py by path, reads them here.
 """
 
 import ast
 import importlib
+import types
 from pathlib import Path
+
+from symsyz.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACE_CHILD = PERFBENCH / "trace_child.py"
@@ -50,3 +55,21 @@ def test_gencount_imports_are_bound():
         namespace = vars(importlib.import_module(node.module))
         missing = [alias.name for alias in node.names if alias.name not in namespace]
         assert not missing, f"{node.module} lacks {missing}"
+
+
+def _load_checks() -> types.ModuleType:
+    """perfbench/checks.py as a module, executed from its source text so
+    that nothing is written under perfbench/."""
+    path = PERFBENCH / "checks.py"
+    module = types.ModuleType("perfbench_checks")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), vars(module))
+    return module
+
+
+def test_verify_fast_output_passes_the_benchmark_checks(capsys):
+    checks = _load_checks()
+    assert main(["verify", "--fast", "--seed", "0"]) == 0
+    work, problems = checks.verify_problems(capsys.readouterr().out)
+    assert problems == []
+    assert checks.work_problems(work, 1) == []

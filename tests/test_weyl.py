@@ -13,7 +13,6 @@ from symsyz.weyl import (
     length_C,
     m_value,
     sort_blocks,
-    tangent_dim_at_id,
     tangent_dim_at_id_A,
     tangent_dim_at_id_C,
     w_max_rep,
@@ -149,16 +148,16 @@ def test_bruhat_full_small():
 
 
 def test_tangent_dim_type_a_examples():
-    assert tangent_dim_at_id((2, 1), ParabolicMarker((1,))) == 1
+    assert tangent_dim_at_id_A((2, 1), ParabolicMarker((1,))) == 1
     ident = tuple(range(1, 5))
-    assert tangent_dim_at_id(ident, ParabolicMarker((1, 2, 3))) == 0
+    assert tangent_dim_at_id_A(ident, ParabolicMarker((1, 2, 3))) == 0
     # the longest element is smooth: tangent dimension equals length
     w0 = (4, 3, 2, 1)
-    assert tangent_dim_at_id(w0, ParabolicMarker((1, 2, 3))) == length_A(w0)
+    assert tangent_dim_at_id_A(w0, ParabolicMarker((1, 2, 3))) == length_A(w0)
 
 
 def test_tangent_dim_type_c_identity():
-    assert tangent_dim_at_id(WeylElementC(3, (1, 2, 3))) == 0
+    assert tangent_dim_at_id_C(WeylElementC(3, (1, 2, 3))) == 0
 
 
 def test_w_max_smoothness_all_params():
