@@ -3,7 +3,6 @@ symplectic Grassmannian, covering the symmetric determinantal varieties."""
 
 from .bott import QDominantWeight, CohomologyAnswer, bott, bundle_cohomology, exchange
 from .geometry import (
-    BlockMatrix2n,
     CellPattern,
     DesingData,
     LinearSlice,
@@ -14,8 +13,6 @@ from .geometry import (
     opposite_cell_pattern,
     plucker_restriction,
     product_identification,
-    sym_coordinates,
-    t_slice,
     v_slice,
     v_prime_slice,
 )

@@ -72,7 +72,7 @@ class CohomologyAnswer:
 ZERO = CohomologyAnswer(zero=True)
 
 
-def _first_ascent(seq: list[int]) -> int | None:
+def _first_ascent(seq: tuple[int, ...]) -> int | None:
     for i in range(len(seq) - 1):
         if seq[i] < seq[i + 1]:
             return i + 1
@@ -93,17 +93,17 @@ def bott(w: QDominantWeight) -> CohomologyAnswer:
     >>> bott(QDominantWeight(2, 1, (2, 0)))
     CohomologyAnswer(zero=False, degree=1, label=(1, 1))
     """
-    seq = list(w.entries[w.m:] + w.entries[: w.m])
+    seq = w.entries[w.m:] + w.entries[: w.m]
     bound = w.n * (w.n - 1) // 2
     steps = 0
     while (i := _first_ascent(seq)) is not None:
         if seq[i] == seq[i - 1] + 1:
             return ZERO
-        seq[i - 1], seq[i] = seq[i] - 1, seq[i - 1] + 1
+        seq = exchange(seq, i)
         steps += 1
         if steps > bound:
             raise ExchangeBoundExceeded(f"{w}: more than {bound} exchanges")
-    return CohomologyAnswer(zero=False, degree=steps, label=tuple(seq))
+    return CohomologyAnswer(zero=False, degree=steps, label=seq)
 
 
 def summand_weight(

@@ -13,6 +13,7 @@ import sys
 
 from .bott import ExchangeBoundExceeded, QDominantWeight, bott
 from .geometry import PluckerMismatch, SliceEscape, desing_data, opposite_cell_pattern
+from .partitions import NonIntegralDimension
 from .resolution import (
     BundleRankMismatch,
     RationalSingularityViolation,
@@ -40,7 +41,7 @@ MAX_WALK_LOG2 = 17  # at most 2^17 leg tuples in one hook-family walk (an expone
 # failed internal checks, each reported as one `error:<code>:` line with INTERNAL_EXIT
 INTEGRITY_CODES = {
     RationalSingularityViolation: "rational-singularity-violation",
-    ArithmeticError: "non-integral-dimension",
+    NonIntegralDimension: "non-integral-dimension",
     ExchangeBoundExceeded: "exchange-bound",
     BundleRankMismatch: "bundle-rank",
     PluckerMismatch: "plucker-mismatch",

@@ -3,7 +3,9 @@
 Everything is exact rational arithmetic. The ambient group lives inside
 SL(2n): a block matrix [[A, C], [D, E]] is symplectic for the form
 F = [[0, J], [-J, 0]] (J the antidiagonal of ones) iff Z^T F Z = F, which
-is what :func:`is_symplectic` checks.
+is what :func:`is_symplectic` checks. Such matrices are plain 2n-by-2n
+lists of rows; a point of the symplectic opposite cell is an
+:class:`OppositeCellPoint`.
 
 Coordinates x[i][j] on the opposite big cell of the three-step type-A
 parabolic quotient sit strictly below the block diagonal with cuts
@@ -22,46 +24,6 @@ from .polynomials import Poly
 from .weyl import check_parameters
 
 
-@dataclass(frozen=True)
-class BlockMatrix2n:
-    """Four n-by-n exact blocks of a 2n-by-2n matrix [[A, C], [D, E]]."""
-
-    a: tuple
-    c: tuple
-    d: tuple
-    e: tuple
-
-    @staticmethod
-    def from_blocks(a, c, d, e) -> "BlockMatrix2n":
-        blocks = [em.from_rows(b) for b in (a, c, d, e)]
-        n = len(blocks[0])
-        for b in blocks:
-            if em.shape(b) != (n, n):
-                raise ValueError("blocks must be square of equal size")
-        return BlockMatrix2n(*(_freeze(b) for b in blocks))
-
-    @staticmethod
-    def from_matrix(m) -> "BlockMatrix2n":
-        m = em.from_rows(m)
-        rows, cols = em.shape(m)
-        if rows != cols or rows % 2:
-            raise ValueError("need a square matrix of even size")
-        n = rows // 2
-        a, c, d, e = em.split4(m, n, n)
-        return BlockMatrix2n.from_blocks(a, c, d, e)
-
-    @property
-    def n(self) -> int:
-        return len(self.a)
-
-    def blocks(self):
-        return tuple(em.from_rows(b) for b in (self.a, self.c, self.d, self.e))
-
-    def as_matrix(self):
-        a, c, d, e = self.blocks()
-        return em.block2(a, c, d, e)
-
-
 def _freeze(m) -> tuple:
     return tuple(tuple(row) for row in m)
 
@@ -72,15 +34,17 @@ def symplectic_form(n: int):
     return em.block2(em.zeros(n, n), j, em.mat_neg(j), em.zeros(n, n))
 
 
-def is_symplectic(z: BlockMatrix2n) -> bool:
-    """Check Z^T F Z == F exactly. In blocks this is A^T J D = D^T J A,
-    C^T J E = E^T J C and A^T J E - D^T J C = J.
+def is_symplectic(m: em.Matrix) -> bool:
+    """Check Z^T F Z == F exactly for the 2n-by-2n matrix Z = m. In blocks
+    this is A^T J D = D^T J A, C^T J E = E^T J C and A^T J E - D^T J C = J.
 
-    >>> is_symplectic(BlockMatrix2n.from_matrix(em.identity(4)))
+    >>> is_symplectic(em.identity(4))
     True
     """
-    m = z.as_matrix()
-    f = symplectic_form(z.n)
+    rows, cols = em.shape(m)
+    if rows != cols or rows % 2:
+        raise ValueError("need a square matrix of even size")
+    f = symplectic_form(rows // 2)
     return em.mat_eq(em.mat_mul(em.transpose(m), em.mat_mul(f, m)), f)
 
 
@@ -96,15 +60,15 @@ class SliceEscape(RuntimeError):
     """A component of the product identification left its linear slice."""
 
 
-def opposite_cell_factor(z: BlockMatrix2n) -> tuple[em.Matrix, em.Matrix]:
-    """Factor a symplectic z with invertible A as z1 * z2 with z1 lower
-    unipotent (block D A^{-1}) and z2 block upper triangular in the
+def opposite_cell_factor(m: em.Matrix) -> tuple[em.Matrix, em.Matrix]:
+    """Factor a symplectic 2n-by-2n matrix with invertible A as z1 * z2 with
+    z1 lower unipotent (block D A^{-1}) and z2 block upper triangular in the
     parabolic. Verifies both factorisation identities before returning.
     """
-    if not is_symplectic(z):
+    if not is_symplectic(m):
         raise ValueError("matrix is not symplectic")
-    a, c, d, e = z.blocks()
-    n = z.n
+    n = len(m) // 2
+    a, c, d, e = em.split4(m, n, n)
     j = em.antidiag(n)
     try:
         a_inv = em.inverse(a)
@@ -120,26 +84,6 @@ def opposite_cell_factor(z: BlockMatrix2n) -> tuple[em.Matrix, em.Matrix]:
     z1 = em.block2(em.identity(n), em.zeros(n, n), da_inv, em.identity(n))
     z2 = em.block2(a, c, em.zeros(n, n), schur)
     return z1, z2
-
-
-def sym_coordinates(z1) -> em.Matrix:
-    """Coordinates of a lower-unipotent element on the symplectic opposite
-    big cell: requires the lower-left block Y persymmetric (JY = Y^T J) and
-    returns the symmetric matrix JY."""
-    m = em.from_rows(z1)
-    rows, cols = em.shape(m)
-    if rows != cols or rows % 2:
-        raise ValueError("need a square matrix of even size")
-    n = rows // 2
-    a, c, d, e = em.split4(m, n, n)
-    if not (em.mat_eq(a, em.identity(n)) and em.mat_eq(e, em.identity(n))
-            and em.mat_eq(c, em.zeros(n, n))):
-        raise ValueError("matrix is not lower unipotent")
-    j = em.antidiag(n)
-    jy = em.mat_mul(j, d)
-    if not em.is_symmetric(jy):
-        raise ValueError("lower-left block is not persymmetric")
-    return jy
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +325,7 @@ def random_symplectic_cell_point(n: int, k: int, r: int, rng: random.Random,
         for t in range(q):
             mirror = (q - 1 - t, q - 1 - s)
             d2[s][t] = d2[mirror[0]][mirror[1]] if mirror < (s, t) else draw()
-    return cell_point_from_blocks(n, k, r, a_prime, d2)
+    return OppositeCellPoint(n, k, r, a_prime, d2).matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +335,10 @@ def random_symplectic_cell_point(n: int, k: int, r: int, rng: random.Random,
 @dataclass(frozen=True)
 class LinearSlice:
     """A linear space cut out by vanishing coordinates, with an explicit
-    list of free positions."""
+    list of free positions; a symmetric slice holds symmetric matrices and
+    lists one position of each pair."""
 
-    kind: str
-    params: tuple
+    symmetric: bool
     size: tuple[int, int]
     free: tuple[tuple[int, int], ...]
 
@@ -406,7 +350,7 @@ class LinearSlice:
         if em.shape(m) != self.size:
             return False
         free = set(self.free)
-        if self.kind in ("V_w", "T_w"):
+        if self.symmetric:
             if not em.is_symmetric(m):
                 return False
             free |= {(j, i) for (i, j) in free}
@@ -426,7 +370,7 @@ def v_slice(n: int, k: int, r: int) -> LinearSlice:
     free = tuple(
         (i, j) for i in range(l + 1, n + 1) for j in range(l + 1, i + 1)
     )
-    return LinearSlice("V_w", (n, k, r), (n, n), free)
+    return LinearSlice(True, (n, n), free)
 
 
 def v_prime_slice(n: int, k: int, r: int) -> LinearSlice:
@@ -435,22 +379,7 @@ def v_prime_slice(n: int, k: int, r: int) -> LinearSlice:
     check_parameters(n, k, r)
     l = r - k
     free = tuple((i - l, j) for i in range(l + 1, r + 1) for j in range(1, l + 1))
-    return LinearSlice("V'_w", (n, k, r), (n - l, l), free)
-
-
-def t_slice(n: int, u: int) -> LinearSlice:
-    """Enlarged slice of symmetric matrices with zero upper-left
-    (n-u)-by-(n-u) block.
-
-    >>> t_slice(3, 1).dimension()
-    3
-    """
-    if not 0 <= 2 * u <= n:
-        raise ValueError(f"need 0 <= 2u <= n, got {(n, u)}")
-    free = tuple(
-        (i, j) for i in range(n - u + 1, n + 1) for j in range(1, i + 1)
-    )
-    return LinearSlice("T_w", (n, u), (n, n), free)
+    return LinearSlice(False, (n - l, l), free)
 
 
 @dataclass(frozen=True)
@@ -470,11 +399,12 @@ class OppositeCellPoint:
         q = self.n - l
         a_prime = em.from_rows(self.a_prime)
         d2 = em.from_rows(self.d2)
-        if em.shape(a_prime) != (q, l) or em.shape(d2) != (q, q):
+        if em.shape(a_prime) != (q, l) or len(d2) != q or any(len(row) != q for row in d2):
             raise ValueError("block shapes do not match the parameters")
         if any(a_prime[i][j] != 0 for i in range(self.r - l, q) for j in range(l)):
             raise ValueError("bottom rows of the first band must vanish")
-        if not em.is_symmetric(em.mat_mul(em.antidiag(q), d2)):
+        # J D2 symmetric, entrywise: (J D2)[i][j] = d2[q-1-i][j]
+        if any(d2[q - 1 - i][j] != d2[q - 1 - j][i] for i in range(q) for j in range(i)):
             raise ValueError("J D2 must be symmetric")
         object.__setattr__(self, "a_prime", _freeze(a_prime))
         object.__setattr__(self, "d2", _freeze(d2))
@@ -514,11 +444,6 @@ class OppositeCellPoint:
         return point
 
 
-def cell_point_from_blocks(n: int, k: int, r: int, a_prime, d2) -> em.Matrix:
-    """Assembled matrix of the cell point with the given blocks."""
-    return OppositeCellPoint(n, k, r, a_prime, d2).matrix()
-
-
 def _paste(m: em.Matrix, block: em.Matrix, row0: int, col0: int) -> None:
     for i, row in enumerate(block):
         for j, value in enumerate(row):
@@ -554,7 +479,7 @@ def product_identification_inverse(n: int, k: int, r: int, sym, base) -> em.Matr
     jq = em.antidiag(q)
     s_block = [[sym[l + i][l + j] for j in range(q)] for i in range(q)]
     d2 = em.mat_mul(jq, s_block)
-    return cell_point_from_blocks(n, k, r, a_prime, d2)
+    return OppositeCellPoint(n, k, r, a_prime, d2).matrix()
 
 
 # ---------------------------------------------------------------------------

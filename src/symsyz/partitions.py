@@ -14,6 +14,10 @@ from math import factorial, prod
 from typing import Iterator, NamedTuple
 
 
+class NonIntegralDimension(ArithmeticError):
+    """A Weyl dimension quotient left a remainder."""
+
+
 class FrobeniusHooks(NamedTuple):
     """Arm/leg coordinates of the diagonal boxes of a partition."""
 
@@ -118,20 +122,6 @@ def _rows_from_hooks(arms, legs) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Yield all partitions of n with parts bounded by max_part."""
-    if n < 0:
-        return
-    if n == 0:
-        yield ()
-        return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
-
-
 def hook_family(
     offset: int, max_leg: int
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
@@ -209,7 +199,7 @@ def weyl_dim(weight: tuple[int, ...]) -> int:
     den = _weyl_denominator(len(weight))
     value, remainder = divmod(num, den)
     if remainder:
-        raise ArithmeticError(f"dimension of {weight} is not an integer: {num}/{den}")
+        raise NonIntegralDimension(f"dimension of {weight} is not an integer: {num}/{den}")
     return value
 
 

@@ -8,7 +8,6 @@ matrices and for rank computations on spans of polynomials.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -68,12 +67,13 @@ class Poly:
     def degree(self) -> int:
         return max((sum(e for _, e in m) for m in self.terms), default=0)
 
-    def evaluate(self, values: dict) -> Fraction:
-        total = Fraction(0)
+    def evaluate(self, values: dict):
+        """The value at `values`: an int for int values, exact for Fractions."""
+        total = 0
         for m, c in self.terms.items():
             term = c
             for v, e in m:
-                term *= Fraction(values[v]) ** e
+                term *= values[v] ** e
             total += term
         return total
 

@@ -14,6 +14,7 @@ import itertools
 from collections import deque
 from fractions import Fraction
 from math import comb
+from typing import Iterator
 
 import numpy as np
 
@@ -37,6 +38,22 @@ def reduced_word_lengths(n: int) -> dict[tuple[int, ...], int]:
                 dist[nxt] = dist[word] + 1
                 queue.append(nxt)
     return dist
+
+
+# -- Partitions, part by part -------------------------------------------------
+
+def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Yield all partitions of n with parts bounded by max_part."""
+    if n < 0:
+        return
+    if n == 0:
+        yield ()
+        return
+    if max_part is None or max_part > n:
+        max_part = n
+    for first in range(max_part, 0, -1):
+        for rest in partitions_of(n - first, first):
+            yield (first,) + rest
 
 
 # -- Semistandard tableaux ---------------------------------------------------

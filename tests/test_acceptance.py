@@ -8,7 +8,7 @@ from math import comb
 from symsyz.bott import QDominantWeight, bott
 from symsyz.cli import main
 from symsyz.geometry import desing_data
-from symsyz.partitions import exterior_of_sym2, partitions_of, schur_dim
+from symsyz.partitions import exterior_of_sym2, schur_dim
 from symsyz.resolution import (
     consistency_check,
     enlarged_space_table,
@@ -21,7 +21,13 @@ from symsyz.verify import (
     weyl_suite,
 )
 
-from oracles import count_ssyt, koszul_betti, line_bundle_cohomology, symmetric_minor_polys
+from oracles import (
+    count_ssyt,
+    koszul_betti,
+    line_bundle_cohomology,
+    partitions_of,
+    symmetric_minor_polys,
+)
 
 VERONESE = {(0, 0): 1, (1, 2): 6, (2, 3): 8, (3, 4): 3}
 

@@ -251,3 +251,26 @@ def test_schubert_integrity_failure_exits_3(capsys, monkeypatch):
                              "--format", fmt)
         assert code == 3 and out == ""
         assert err.startswith("error:permutation-word:") and err.count("\n") == 1
+
+
+def test_resolve_zero_division_is_not_a_dimension_failure(capsys, monkeypatch):
+    # only a Weyl quotient with a remainder is non-integral-dimension; any
+    # other ArithmeticError is a bug and keeps its traceback
+    def broken(table, codim):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(resolution, "consistency_check", broken)
+    with pytest.raises(ZeroDivisionError):
+        run(capsys, "resolve", "--n", "4", "--k", "2", "--r", "4", "--format", "json")
+    _, err = capsys.readouterr()
+    assert "error:non-integral-dimension:" not in err
+
+
+def test_verify_singular_factorization_sample_is_a_fail_line(capsys, monkeypatch):
+    # F is symplectic with a singular upper-left block: the factorisation
+    # refuses it, and the suite reports that as a FAIL line, not a traceback
+    monkeypatch.setattr(verify, "random_symplectic", lambda n, rng: geometry.symplectic_form(n))
+    code, out, err = run(capsys, "verify", "--fast", "--suites", "factorization")
+    assert code == 1 and err == ""
+    assert out.startswith("FAIL factorization: upper-left block is singular at n=")
+    assert out.count("\n") == 1

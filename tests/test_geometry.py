@@ -5,11 +5,9 @@ import pytest
 
 from symsyz import exactmat as em
 from symsyz.geometry import (
-    BlockMatrix2n,
     NotInOppositeCellError,
     OppositeCellPoint,
     cell_cuts,
-    cell_point_from_blocks,
     desing_data,
     free_positions,
     is_symplectic,
@@ -20,9 +18,7 @@ from symsyz.geometry import (
     product_identification_inverse,
     random_cell_point,
     random_symplectic_cell_point,
-    sym_coordinates,
     symplectic_form,
-    t_slice,
     v_prime_slice,
     v_slice,
 )
@@ -38,10 +34,10 @@ def test_symplectic_form_shape():
 
 
 def test_is_symplectic_identity_and_form():
-    assert is_symplectic(BlockMatrix2n.from_matrix(em.identity(6)))
+    assert is_symplectic(em.identity(6))
     # the form matrix itself preserves the form, with singular upper block
     f = symplectic_form(3)
-    assert is_symplectic(BlockMatrix2n.from_matrix(f))
+    assert is_symplectic(f)
 
 
 def test_is_symplectic_diag_block():
@@ -58,7 +54,7 @@ def test_is_symplectic_diag_block():
                 continue
         j = em.antidiag(n)
         e = em.mat_mul(j, em.mat_mul(em.transpose(em.inverse(a)), j))
-        z = BlockMatrix2n.from_blocks(a, em.zeros(n, n), em.zeros(n, n), e)
+        z = em.block2(a, em.zeros(n, n), em.zeros(n, n), e)
         assert is_symplectic(z)
 
 
@@ -67,7 +63,7 @@ def test_generic_matrix_is_not_symplectic():
     hits = 0
     for _ in range(20):
         m = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(6)]
-        hits += is_symplectic(BlockMatrix2n.from_matrix(m))
+        hits += is_symplectic(m)
     assert hits == 0
 
 
@@ -77,28 +73,22 @@ def test_factorization_identity_and_errors():
         n = rng.choice((2, 3, 4))
         z = random_symplectic(n, rng)
         z1, z2 = opposite_cell_factor(z)
-        assert em.mat_eq(em.mat_mul(z1, z2), z.as_matrix())
+        assert em.mat_eq(em.mat_mul(z1, z2), z)
         f = symplectic_form(n)
         assert em.mat_eq(em.mat_mul(em.transpose(z2), em.mat_mul(f, z2)), f)
         # z1 is lower unipotent with persymmetric corner
-        sym = sym_coordinates(z1)
-        assert em.is_symmetric(sym)
-    ident = BlockMatrix2n.from_matrix(em.identity(4))
-    z1, z2 = opposite_cell_factor(ident)
+        a, c, y, e = em.split4(z1, n, n)
+        assert a == e == em.identity(n) and c == em.zeros(n, n)
+        assert em.is_symmetric(em.mat_mul(em.antidiag(n), y))
+    z1, z2 = opposite_cell_factor(em.identity(4))
     assert em.mat_eq(z1, em.identity(4)) and em.mat_eq(z2, em.identity(4))
     with pytest.raises(NotInOppositeCellError):
-        opposite_cell_factor(BlockMatrix2n.from_matrix(symplectic_form(2)))
-
-
-def test_sym_coordinates_examples():
-    z = em.identity(4)
-    assert em.mat_eq(sym_coordinates(z), em.zeros(2, 2))
-    y = em.from_rows([[5, 7], [2, 5]])  # persymmetric
-    z = em.block2(em.identity(2), em.zeros(2, 2), y, em.identity(2))
-    assert sym_coordinates(z) == em.from_rows([[2, 5], [5, 7]])
-    bad = em.block2(em.identity(2), em.zeros(2, 2), em.from_rows([[1, 0], [0, 2]]), em.identity(2))
-    with pytest.raises(ValueError):
-        sym_coordinates(bad)
+        opposite_cell_factor(symplectic_form(2))
+    for bad_shape in ([[1, 0, 0]] * 3, [[1, 0]] * 3):
+        with pytest.raises(ValueError):
+            is_symplectic(bad_shape)
+        with pytest.raises(ValueError):
+            opposite_cell_factor(bad_shape)
 
 
 def test_free_positions_count():
@@ -167,7 +157,7 @@ def test_pattern_membership_implies_symplectic():
     rng = random.Random(31)
     for n, k, r in all_parameters(5):
         m = random_symplectic_cell_point(n, k, r, rng)
-        assert is_symplectic(BlockMatrix2n.from_matrix(m))
+        assert is_symplectic(m)
         assert opposite_cell_pattern(n, k, r).is_member(m)
 
 
@@ -180,7 +170,7 @@ def test_pattern_dimensions():
 
 def test_product_identification_examples():
     n, k, r = 2, 1, 2
-    zero = cell_point_from_blocks(n, k, r, [[0]], [[0]])
+    zero = OppositeCellPoint(n, k, r, [[0]], [[0]]).matrix()
     sym, base = product_identification(n, k, r, zero)
     assert em.mat_eq(sym, em.zeros(2, 2))
     # one-parameter family: V_w is one-dimensional
@@ -197,9 +187,9 @@ def test_product_identification_examples():
 
 def test_cell_point_validation():
     with pytest.raises(ValueError):
-        cell_point_from_blocks(3, 1, 2, [[1], [1]], [[1, 0], [0, 1]])  # bottom row must vanish
+        OppositeCellPoint(3, 1, 2, [[1], [1]], [[1, 0], [0, 1]])  # bottom row must vanish
     with pytest.raises(ValueError):
-        cell_point_from_blocks(3, 1, 2, [[1], [0]], [[1, 0], [0, 2]])  # J d2 not symmetric
+        OppositeCellPoint(3, 1, 2, [[1], [0]], [[1, 0], [0, 2]])  # J d2 not symmetric
 
 
 def test_slices():
@@ -207,13 +197,6 @@ def test_slices():
     assert v_slice(5, 2, 4).dimension() == 6
     assert v_slice(4, 3, 4).dimension() == 6
     assert v_prime_slice(5, 2, 4).dimension() == 4  # = k(r-k), the base dimension
-    assert t_slice(3, 1).dimension() == 3
-    assert t_slice(3, 0).dimension() == 0
-    # complement of the enlarged slice has the stated dimension
-    for n in range(2, 7):
-        for u in range(0, n // 2 + 1):
-            dim = t_slice(n, u).dimension()
-            assert n * (n + 1) // 2 - dim == (n - u) * (n - u + 1) // 2
 
 
 def test_desing_data_examples():
@@ -290,7 +273,7 @@ def test_minor_suite_rejects_miswired_product():
 
 def test_opposite_cell_point_type():
     point = OppositeCellPoint(3, 1, 2, ((2,), (0,)), ((1, 2), (3, 1)))
-    assert is_symplectic(BlockMatrix2n.from_matrix(point.matrix()))
+    assert is_symplectic(point.matrix())
     back = OppositeCellPoint.from_matrix(3, 1, 2, point.matrix())
     assert back == point
     with pytest.raises(ValueError):

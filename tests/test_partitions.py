@@ -12,13 +12,12 @@ from symsyz.partitions import (
     from_hooks,
     hook_family,
     is_partition,
-    partitions_of,
     schur_dim,
     to_hooks,
     weyl_dim,
 )
 
-from oracles import count_ssyt, hook_content_dim
+from oracles import count_ssyt, hook_content_dim, partitions_of
 
 partition_st = st.integers(0, 14).flatmap(
     lambda n: st.sampled_from(sorted(partitions_of(n))) if n else st.just(())

@@ -43,8 +43,8 @@ def leibniz_det(rows: list[list[Poly]]) -> Poly:
     return total
 
 
-def fraction_det(rows: list[list[Fraction]]) -> Fraction:
-    m = [list(row) for row in rows]
+def fraction_det(rows: list[list]) -> Fraction:
+    m = [[Fraction(x) for x in row] for row in rows]
     det = Fraction(1)
     for c in range(len(m)):
         pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
@@ -142,3 +142,12 @@ def test_minor_generators_are_independent_oracle_minors(n, k):
             mat[row, position[m]] = c
     _, pivots = _rref_mod_p(mat, PRIME)
     assert len(pivots) == len(gens)
+
+
+def test_evaluate_keeps_integer_values_int():
+    x, y = Poly.var("x"), Poly.var("y")
+    p = x * x * y - Poly.const(3) * y + Poly.const(2)
+    value = p.evaluate({"x": 2, "y": -5})
+    assert type(value) is int and value == -3
+    assert type(Poly.zero().evaluate({})) is int
+    assert p.evaluate({"x": Fraction(1, 2), "y": 2}) == Fraction(-7, 2)
