@@ -29,7 +29,6 @@ from .partitions import (
 )
 from .resolution import (
     BettiTable,
-    PolynomialRingSpec,
     RationalSingularityViolation,
     UnsupportedBundleError,
     XiDescription,

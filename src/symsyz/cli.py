@@ -97,7 +97,7 @@ def cmd_resolve(args) -> int:
     if args.format == "json":
         _print_json({
             "params": {"n": args.n, "k": args.k, "r": args.r},
-            "ring": {"variables": report.ring.variable_count},
+            "ring": {"variables": data.ambient_dim},
             "betti": report.table.to_json_dict(),
             "codim": report.codim,
             "k_polynomial": k_polynomial(report.table),
@@ -223,7 +223,7 @@ def cmd_verify(args) -> int:
     names = args.suites.split(",") if args.suites else list(DEFAULT_SUITES)
     unknown = [x for x in names if x not in DEFAULT_SUITES]
     if unknown:
-        return _fail("unknown-suite", ",".join(unknown), USAGE_EXIT)
+        return _fail("unknown-suite", ", ".join(map(repr, unknown)), USAGE_EXIT)
     try:
         results = run_suites(args.seed, names, fast=args.fast)
     except tuple(INTEGRITY_CODES) as exc:

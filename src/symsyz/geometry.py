@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import exactmat as em
@@ -129,11 +128,6 @@ def cell_matrix(n: int, k: int, r: int, point: dict) -> em.Matrix:
     return m
 
 
-def _minor_rows_cols(l: int, i: int, j: int) -> tuple[list[int], list[int]]:
-    rows = [s for s in range(1, l + 1) if s != j] + [i]
-    return rows, list(range(1, l + 1))
-
-
 def _minor_det_unitriangular(m: em.Matrix, l: int, i: int, j: int):
     """Determinant of the minor with rows {1..l} \\ {j} + {i}, columns 1..l,
     for a lower unidiagonal matrix: reduce the extra row against the unit
@@ -152,60 +146,50 @@ def _minor_det_unitriangular(m: em.Matrix, l: int, i: int, j: int):
 
 
 def _minor_det_bareiss(m: em.Matrix, l: int, i: int, j: int):
-    rows, cols = _minor_rows_cols(l, i, j)
-    sub = [[m[ri - 1][ci - 1] for ci in cols] for ri in rows]
-    return em.det_bareiss(sub)
+    rows = [s for s in range(1, l + 1) if s != j] + [i]
+    return em.det_bareiss([m[s - 1][:l] for s in rows])
 
 
-@dataclass(frozen=True)
-class PluckerValue:
-    minor: int | Fraction
-    closed_form: int | Fraction
+def plucker_restriction(n: int, k: int, r: int, matrix: em.Matrix,
+                        cross_check: bool = False) -> int:
+    """Check the restrictions of the Plucker coordinates p_(i,j) to the
+    opposite cell at one point, given as its ``cell_matrix``: for every
+    index pair of the three treated ranges, the actual minor of the matrix
+    must equal the closed form for the range exactly. Returns the number of
+    pairs checked, l(2n - r) + 2 l(n - l).
 
-
-def plucker_restriction(n: int, k: int, r: int, i: int, j: int,
-                        point: dict, cross_check: bool = False,
-                        matrix: em.Matrix | None = None) -> PluckerValue:
-    """Restriction of the Plucker coordinate p_(i,j) to the opposite cell,
-    computed two ways: as the actual minor of the coordinate matrix, and by
-    the closed form for the index range. The two must agree exactly.
-
-    Ranges: (i > r, j <= r-k) uses the first cut; (i > 2n-(r-k), j in the
-    second or third column band) use the last cut.
-
-    ``matrix`` is ``cell_matrix(n, k, r, point)`` when the caller checks many
-    minors of one point and has built it once; it is built here otherwise.
+    Ranges: (i > r, j <= l) uses the first cut; (i > big, j in the third or
+    second column band) use the last cut. The closed forms read coordinates
+    below the diagonal, which are the matrix entries there.
     """
     l, mid, big = cell_cuts(n, k, r)
-    lookup = lambda a, b: point.get((a, b), 0)
-    if i > r and j <= l:
-        cut = l
-        closed = (-1) ** (l - j) * lookup(i, j)
-    elif i > big and mid < j <= big:
-        cut = big
-        closed = (-1) ** (big - j) * lookup(i, j)
-    elif i > big and l < j <= mid:
-        # the subtracted product pairs the tail of row i (columns n+1..big)
-        # with the column of the middle block above it
-        cut = big
-        dot = sum(
-            lookup(i, n + s) * lookup(n + s, j)
-            for s in range(1, n - l + 1)
-        )
-        closed = (-1) ** (big - j) * (lookup(i, j) - dot)
-    else:
-        raise ValueError(f"index pair {(i, j)} outside the treated ranges")
-    m = cell_matrix(n, k, r, point) if matrix is None else matrix
-    minor = _minor_det_unitriangular(m, cut, i, j)
-    if cross_check and minor != (bareiss := _minor_det_bareiss(m, cut, i, j)):
-        raise PluckerMismatch(
-            f"minor/Bareiss mismatch at {(n, k, r, i, j)}: {minor} != {bareiss}"
-        )
-    if minor != closed:
-        raise PluckerMismatch(
-            f"minor/closed-form mismatch at {(n, k, r, i, j)}: {minor} != {closed}"
-        )
-    return PluckerValue(minor, closed)
+    x = lambda a, b: matrix[a - 1][b - 1]
+    ranges = (
+        (l, range(r + 1, 2 * n + 1), range(1, l + 1)),
+        (big, range(big + 1, 2 * n + 1), range(mid + 1, big + 1)),
+        (big, range(big + 1, 2 * n + 1), range(l + 1, mid + 1)),
+    )
+    checked = 0
+    for cut, rows, cols in ranges:
+        for i in rows:
+            for j in cols:
+                closed = x(i, j)
+                if l < j <= mid:
+                    # the subtracted product pairs the tail of row i (columns
+                    # n+1..big) with the column of the middle block above it
+                    closed -= sum(x(i, n + s) * x(n + s, j) for s in range(1, n - l + 1))
+                closed *= (-1) ** (cut - j)
+                minor = _minor_det_unitriangular(matrix, cut, i, j)
+                if cross_check and minor != (bareiss := _minor_det_bareiss(matrix, cut, i, j)):
+                    raise PluckerMismatch(
+                        f"minor/Bareiss mismatch at {(n, k, r, i, j)}: {minor} != {bareiss}"
+                    )
+                if minor != closed:
+                    raise PluckerMismatch(
+                        f"minor/closed-form mismatch at {(n, k, r, i, j)}: {minor} != {closed}"
+                    )
+        checked += len(rows) * len(cols)
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +496,8 @@ def desing_data(n: int, k: int, r: int) -> DesingData:
     """
     check_parameters(n, k, r)
     ambient = n * (n + 1) // 2
-    fibre = v_slice(n, k, r).dimension()
+    q = n - (r - k)
+    fibre = q * (q + 1) // 2  # v_slice(n, k, r).dimension(), without listing the slice
     base_dim = k * (r - k)
     dim_z = base_dim + fibre
     return DesingData(

@@ -34,18 +34,6 @@ class UnsupportedBundleError(ValueError):
         super().__init__(f"{reason}: {detail}")
 
 
-@dataclass(frozen=True)
-class PolynomialRingSpec:
-    """The standard-graded ambient polynomial ring: one degree-one variable
-    per entry of a symmetric matrix."""
-
-    variable_count: int
-
-    @staticmethod
-    def for_symmetric(n: int) -> "PolynomialRingSpec":
-        return PolynomialRingSpec(n * (n + 1) // 2)
-
-
 @dataclass
 class BettiTable:
     """Multiplicities beta[i, d] of the free summand R(-d) in homological
@@ -57,8 +45,6 @@ class BettiTable:
     )
 
     def add(self, i: int, degree: int, label: tuple[int, ...], dim: int) -> None:
-        if dim <= 0:
-            return
         key = (i, degree)
         self.entries[key] = self.entries.get(key, 0) + dim
         self.provenance.setdefault(key, []).append((label, dim))
@@ -113,19 +99,18 @@ class BettiTable:
         )
 
 
-def assemble(oracle, max_t: int) -> BettiTable:
+def assemble(oracle: dict, max_t: int) -> BettiTable:
     """Build the table from a cohomology oracle.
 
-    `oracle` maps each exterior degree t = 0..max_t to
+    `oracle` maps each exterior degree t = 0..max_t (absent: no classes) to
     {cohomological degree j: list of Schur labels}; a class in degree j of
     the t-th exterior power contributes its dimension to position
     (t - j, t). Negative positions abort: they contradict the direct image
     being a sheaf on the target.
     """
     table = BettiTable()
-    lookup = oracle if callable(oracle) else lambda t: oracle.get(t, {})
     for t in range(max_t + 1):
-        for j, labels in sorted(lookup(t).items()):
+        for j, labels in sorted(oracle.get(t, {}).items()):
             i = t - j
             if labels and i < 0:
                 raise RationalSingularityViolation(
@@ -312,11 +297,9 @@ def enlarged_space_table(n: int, k: int, r: int, max_t: int | None = None) -> Be
         if size // 2 <= cap:
             lam = _rows_from_hooks([b + 1 for b in legs], legs)
             summands.setdefault(size // 2, []).append((lam, ()))
-
-    def oracle(t: int):
-        return bundle_cohomology(summands.get(t, ()), xi.n, xi.m)
-
-    return assemble(oracle, cap)
+    return assemble(
+        {t: bundle_cohomology(terms, xi.n, xi.m) for t, terms in summands.items()}, cap
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +311,6 @@ class ResolveReport:
     n: int
     k: int
     r: int
-    ring: PolynomialRingSpec
     table: BettiTable | None
     codim: int
     consistency: ConsistencyReport | None
@@ -351,8 +333,7 @@ def resolve(n: int, k: int, r: int, max_t: int | None = None) -> ResolveReport:
     data = desing_data(n, k, r)
     if r < n:
         return ResolveReport(
-            n=n, k=k, r=r, ring=PolynomialRingSpec.for_symmetric(n),
-            table=None, codim=data.codim, consistency=None,
+            n=n, k=k, r=r, table=None, codim=data.codim, consistency=None,
             enlarged=None, enlarged_contains_closed_form=None,
             unsupported_reason=(
                 "no closed form for r < n; the syzygy bundle over the"
@@ -363,8 +344,7 @@ def resolve(n: int, k: int, r: int, max_t: int | None = None) -> ResolveReport:
     if not table.is_resolution_shape():
         raise RationalSingularityViolation("closed-form table has spurious generators")
     report = ResolveReport(
-        n=n, k=k, r=r, ring=PolynomialRingSpec.for_symmetric(n),
-        table=table, codim=data.codim,
+        n=n, k=k, r=r, table=table, codim=data.codim,
         consistency=consistency_check(table, data.codim),
         enlarged=None, enlarged_contains_closed_form=None,
     )

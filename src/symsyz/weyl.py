@@ -124,34 +124,19 @@ class ParabolicMarker:
             raise ValueError(f"omitted indices {self.omitted} exceed rank {rank}")
 
 
-def tangent_dim_at_id_A(word: Sequence[int], marker: ParabolicMarker) -> int:
-    """Dimension of the tangent space at the identity coset of the type-A
-    Schubert variety of `word` in the partial flag variety with the given
-    omitted cuts: the number of reflections across some cut that the word
-    dominates at every cut.
+def tangent_dim_at_id_A(word: Sequence[int]) -> int:
+    """Dimension of the tangent space at the identity of the type-A
+    Schubert variety of `word` in the full flag variety: the number of
+    transpositions below the word in the Bruhat order.
     """
     word = check_permutation(word)
     n = len(word)
-    marker.check_range(n - 1)
-    cuts = marker.omitted
-    count = 0
-    prefixes = {l: sorted(word[:l]) for l in cuts}
-    for j in range(1, n + 1):
-        for i in range(j + 1, n + 1):
-            if not any(j <= l < i for l in cuts):
-                continue
-            ok = True
-            for l in cuts:
-                if j <= l < i:
-                    ref_prefix = sorted(set(range(1, l + 1)) - {j} | {i})
-                else:
-                    ref_prefix = list(range(1, l + 1))
-                if not all(a <= b for a, b in zip(ref_prefix, prefixes[l])):
-                    ok = False
-                    break
-            if ok:
-                count += 1
-    return count
+    return sum(
+        1
+        for i in range(1, n + 1)
+        for j in range(1, i)
+        if bruhat_leq(transposition(n, j, i), word)
+    )
 
 
 def primed(i: int, n: int) -> int:
@@ -316,9 +301,7 @@ def tangent_dim_at_id_C(w: WeylElementC) -> int:
     """Tangent-space dimension at the identity of the full-flag type-C
     Schubert variety of w: half of (type-A tangent dimension of the full
     word plus the mirrored-reflection count)."""
-    full = w.full_word()
-    marker = ParabolicMarker(tuple(range(1, 2 * w.n)))
-    total = tangent_dim_at_id_A(full, marker) + reflection_count_c(w)
+    total = tangent_dim_at_id_A(w.full_word()) + reflection_count_c(w)
     if total % 2:
         raise ValueError(f"tangent dimension parity violated for {w}")
     return total // 2

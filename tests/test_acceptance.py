@@ -119,7 +119,7 @@ def test_criterion_7_symplectic_factorization():
 
 def test_criterion_8_weyl_suite():
     started = time.time()
-    result = weyl_suite(seed=20248, n_max=6)
+    result = weyl_suite(n_max=6)
     assert result.passed, result.detail
     _report("criterion-8 weyl", started, 5.0)
 

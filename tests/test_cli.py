@@ -36,6 +36,7 @@ def test_resolve_json_shape_and_determinism(capsys):
     assert out1 == out2  # byte-identical
     payload = json.loads(out1)
     assert payload["params"] == {"n": 3, "k": 1, "r": 3}
+    assert payload["ring"] == {"variables": 6}
     assert payload["codim"] == 3
     assert payload["k_polynomial"] == [1, 0, -6, 8, -3]
     betti = {(row["i"], row["degree"]): row["mult"] for row in payload["betti"]}
@@ -57,6 +58,17 @@ def test_resolve_unsupported_branch(capsys):
     payload = json.loads(out)
     assert "unsupported" in payload
     assert payload["geometry"]["codim"] == 2
+
+
+def test_resolve_unsupported_branch_at_large_n(capsys):
+    # r < n needs only the dimension count, so n does not bound the work
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "resolve", "--n", "20000", "--k", "1", "--r", "3",
+                       "--format", "json")
+    elapsed = time.perf_counter() - started
+    assert code == 0
+    assert json.loads(out)["geometry"]["fibre_dim"] == 19998 * 19999 // 2
+    assert elapsed < 1.0, elapsed
 
 
 def test_resolve_invalid_params(capsys):
@@ -121,6 +133,13 @@ def test_verify_fast_deterministic(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suites", "nonsense")
     assert code == 2 and err.startswith("error:unknown-suite:")
+
+
+def test_verify_unknown_suite_names_empty_entries(capsys):
+    code, out, err = run(capsys, "verify", "--suites", "weyl,")
+    assert (code, out, err) == (2, "", "error:unknown-suite: ''\n")
+    code, out, err = run(capsys, "verify", "--suites", ",")
+    assert (code, out, err) == (2, "", "error:unknown-suite: '', ''\n")
 
 
 def test_max_t_truncation_is_exploratory(capsys):

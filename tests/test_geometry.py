@@ -7,7 +7,9 @@ from symsyz import exactmat as em
 from symsyz.geometry import (
     NotInOppositeCellError,
     OppositeCellPoint,
+    _minor_det_unitriangular,
     cell_cuts,
+    cell_matrix,
     desing_data,
     free_positions,
     is_symplectic,
@@ -104,35 +106,29 @@ def test_free_positions_count():
 
 def test_plucker_zero_point():
     n, k, r = 5, 2, 4
-    zero = {pos: 0 for pos in free_positions(n, k, r)}
+    l = r - k
+    zero = cell_matrix(n, k, r, {pos: 0 for pos in free_positions(n, k, r)})
+    assert zero == em.identity(2 * n)
+    assert plucker_restriction(n, k, r, zero, cross_check=True) == l * (2 * n - r) + 2 * l * (n - l)
     for i in range(r + 1, 2 * n + 1):
-        for j in range(1, r - k + 1):
-            value = plucker_restriction(n, k, r, i, j, zero)
-            assert value.minor == 0
+        for j in range(1, l + 1):
+            assert _minor_det_unitriangular(zero, l, i, j) == 0
 
 
 def test_plucker_identities_random():
     rng = random.Random(2024)
     for n, k, r in all_parameters(4):
-        l, mid, big = cell_cuts(n, k, r)
+        l = r - k
         for _ in range(20):
             point = random_cell_point(n, k, r, rng)
+            matrix = cell_matrix(n, k, r, point)
+            checked = plucker_restriction(n, k, r, matrix, cross_check=True)
+            assert checked == l * (2 * n - r) + 2 * l * (n - l), (n, k, r)
+            # the first closed form read off the point itself, not the matrix
             for i in range(r + 1, 2 * n + 1):
                 for j in range(1, l + 1):
-                    p = plucker_restriction(n, k, r, i, j, point, cross_check=True)
-                    sign = (-1) ** (l - j)
-                    assert p.closed_form == sign * point[(i, j)]
-            for i in range(big + 1, 2 * n + 1):
-                for j in range(mid + 1, big + 1):
-                    plucker_restriction(n, k, r, i, j, point, cross_check=True)
-                for j in range(l + 1, mid + 1):
-                    plucker_restriction(n, k, r, i, j, point, cross_check=True)
-
-
-def test_plucker_rejects_outside_range():
-    point = {pos: 1 for pos in free_positions(3, 1, 2)}
-    with pytest.raises(ValueError):
-        plucker_restriction(3, 1, 2, 2, 1, point)
+                    minor = _minor_det_unitriangular(matrix, l, i, j)
+                    assert minor == (-1) ** (l - j) * point[(i, j)]
 
 
 def test_pattern_example_entry():
@@ -199,6 +195,11 @@ def test_slices():
     assert v_prime_slice(5, 2, 4).dimension() == 4  # = k(r-k), the base dimension
 
 
+def test_fibre_dim_counts_the_slice():
+    for n, k, r in all_parameters(8):
+        assert desing_data(n, k, r).fibre_dim == v_slice(n, k, r).dimension(), (n, k, r)
+
+
 def test_desing_data_examples():
     d = desing_data(2, 1, 2)
     assert (d.base_dim, d.fibre_dim, d.dim_y, d.codim) == (1, 1, 2, 1)
@@ -256,14 +257,14 @@ def test_minor_suite_rejects_miswired_product():
     disagreements = 0
     for _ in range(50):
         point = random_cell_point(n, k, r, rng)
+        matrix = cell_matrix(n, k, r, point)
         for i in range(big + 1, 2 * n + 1):
             for j in range(l + 1, mid + 1):
-                true_value = plucker_restriction(n, k, r, i, j, point).minor
+                true_value = _minor_det_unitriangular(matrix, big, i, j)
                 miswired = (-1) ** (big - j) * (
-                    Fraction(point.get((i, j), 0))
+                    point.get((i, j), 0)
                     - sum(
-                        Fraction(point.get((i, l + s), 0))
-                        * Fraction(point.get((n + s, j), 0))
+                        point.get((i, l + s), 0) * point.get((n + s, j), 0)
                         for s in range(1, n - l + 1)
                     )
                 )

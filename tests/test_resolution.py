@@ -203,7 +203,7 @@ def test_enlarged_space_tables():
 
 
 def test_enlarged_contains_closed_form():
-    for n, k, r in ((3, 2, 3), (4, 2, 4), (5, 2, 5), (5, 4, 5)):
+    for n, k, r in [(n, k, n) for n in range(3, 11) for k in range(2, n, 2)]:
         big = enlarged_space_table(n, k, r)
         small = jpw_closed_form(n, k)
         assert big.contains(small), (n, k, r)
@@ -309,10 +309,3 @@ def test_table_hilbert_function_matches_ideal_ranks(n, k, max_degree):
     gens = symmetric_minor_polys(n, k + 1)
     dims = ideal_quotient_dims(gens, nvars, max_degree)
     assert _hilbert_from_table(jpw_closed_form(n, k), nvars, max_degree) == dims
-
-
-def test_polynomial_ring_spec():
-    from symsyz.resolution import PolynomialRingSpec
-
-    assert PolynomialRingSpec.for_symmetric(5).variable_count == 15
-    assert resolve(3, 1, 3).ring.variable_count == 6

@@ -148,12 +148,12 @@ def test_bruhat_full_small():
 
 
 def test_tangent_dim_type_a_examples():
-    assert tangent_dim_at_id_A((2, 1), ParabolicMarker((1,))) == 1
+    assert tangent_dim_at_id_A((2, 1)) == 1
     ident = tuple(range(1, 5))
-    assert tangent_dim_at_id_A(ident, ParabolicMarker((1, 2, 3))) == 0
+    assert tangent_dim_at_id_A(ident) == 0
     # the longest element is smooth: tangent dimension equals length
     w0 = (4, 3, 2, 1)
-    assert tangent_dim_at_id_A(w0, ParabolicMarker((1, 2, 3))) == length_A(w0)
+    assert tangent_dim_at_id_A(w0) == length_A(w0)
 
 
 def test_tangent_dim_type_c_identity():
@@ -169,8 +169,7 @@ def test_w_max_smoothness_all_params():
 def test_type_a_singular_case_detected():
     # the 4231 pattern itself is singular at the identity in the full flag
     word = (4, 2, 3, 1)
-    marker = ParabolicMarker((1, 2, 3))
-    assert tangent_dim_at_id_A(word, marker) > length_A(word)
+    assert tangent_dim_at_id_A(word) > length_A(word)
 
 
 def test_reflection_vanishing_criterion_at_first_cut():
