@@ -1,7 +1,7 @@
 """Graded Betti tables of opposite cells of Schubert varieties in the
 symplectic Grassmannian, covering the symmetric determinantal varieties."""
 
-from .bott import QDominantWeight, CohomologyAnswer, bott, bundle_cohomology, exchange
+from .bott import QDominantWeight, CohomologyAnswer, bott, bundle_cohomology
 from .geometry import (
     CellPattern,
     DesingData,

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .bott import ExchangeBoundExceeded, QDominantWeight, bott
+from .bott import QDominantWeight, bott
 from .geometry import PluckerMismatch, SliceEscape, desing_data, opposite_cell_pattern
 from .partitions import NonIntegralDimension
 from .resolution import (
@@ -26,6 +26,7 @@ from .weyl import (
     PermutationWordError,
     WeylElementC,
     avoids_patterns,
+    check_parameters,
     family_element,
     length_A,
     length_C,
@@ -38,11 +39,11 @@ from .weyl import (
 USAGE_EXIT = 2
 INTERNAL_EXIT = 3
 MAX_WALK_LOG2 = 17  # at most 2^17 leg tuples in one hook-family walk (an exponent: no huge ints)
+MAX_SCHUBERT_N = 30  # the 4231/3142 scan of w_max reads all C(2n, 4) subsequences
 # failed internal checks, each reported as one `error:<code>:` line with INTERNAL_EXIT
 INTEGRITY_CODES = {
     RationalSingularityViolation: "rational-singularity-violation",
     NonIntegralDimension: "non-integral-dimension",
-    ExchangeBoundExceeded: "exchange-bound",
     BundleRankMismatch: "bundle-rank",
     PluckerMismatch: "plucker-mismatch",
     SliceEscape: "slice-escape",
@@ -155,6 +156,10 @@ def cmd_bott(args) -> int:
 
 def cmd_schubert(args) -> int:
     try:
+        check_parameters(args.n, args.k, args.r)
+        if args.n > MAX_SCHUBERT_N:
+            return _fail("too-large", f"n = {args.n} is above the schubert cap of {MAX_SCHUBERT_N}",
+                         USAGE_EXIT)
         w = family_element(args.n, args.k, args.r)
         tilde = w_tilde_min_rep(w, ParabolicMarker((args.r - args.k, args.n)))
         wmax = w_max_rep(args.n, args.k, args.r)

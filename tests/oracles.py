@@ -2,10 +2,11 @@
 
 Everything here is deliberately written from first principles, without
 touching the library's own code paths: breadth-first reduced words,
-explicit tableau enumeration, the hook-content formula, the rho-shift
-formulation of the sorting algorithm, Gaussian elimination over Q that
-rescans every reduced row, and a mod-p Koszul-homology computation of
-graded Betti numbers.
+explicit tableau enumeration, the hook-content formula, two formulations
+of Bott's sorting algorithm (the rho-shift sort `bott_by_rho`, and the
+exchange loop `bott_by_exchange`, which swaps one adjacent ascent at a
+time), Gaussian elimination over Q that rescans every reduced row, and a
+mod-p Koszul-homology computation of graded Betti numbers.
 """
 
 from __future__ import annotations
@@ -121,6 +122,40 @@ def bott_by_rho(entries: tuple[int, ...], m: int):
     ordered = sorted(shifted, reverse=True)
     label = tuple(ordered[i] - (n - 1 - i) for i in range(n))
     return inversions, label
+
+
+# -- exchange form of the sorting algorithm ----------------------------------
+
+def exchange(alpha: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The shifted swap at position i (1-based):
+    (.., a_{i-1}, a_{i+1}-1, a_i+1, a_{i+2}, ..).
+
+    >>> exchange((0, 2), 1)
+    (1, 1)
+    >>> exchange((3, 0, 0), 2)
+    (3, -1, 1)
+    """
+    if not 1 <= i <= len(alpha) - 1:
+        raise ValueError(f"exchange position {i} out of range")
+    out = list(alpha)
+    out[i - 1], out[i] = alpha[i] - 1, alpha[i - 1] + 1
+    return tuple(out)
+
+
+def bott_by_exchange(entries: tuple[int, ...], m: int):
+    """Returns None for vanishing cohomology, else (degree, label): swap the
+    blocks, then exchange at the first ascent, rescanning from the left,
+    until none is left (one exchange per degree) or an exchange would fix
+    the sequence (no cohomology)."""
+    seq = entries[m:] + entries[:m]
+    steps = 0
+    while (i := next((i + 1 for i in range(len(seq) - 1) if seq[i] < seq[i + 1]), None)):
+        if seq[i] == seq[i - 1] + 1:
+            return None
+        seq = exchange(seq, i)
+        steps += 1
+        assert steps <= len(seq) * (len(seq) - 1) // 2, "exchange loop ran away"
+    return steps, seq
 
 
 def line_bundle_cohomology(d: int) -> dict[int, int]:

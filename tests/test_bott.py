@@ -1,3 +1,4 @@
+import importlib
 from math import comb
 
 import pytest
@@ -7,31 +8,39 @@ from symsyz.bott import (
     QDominantWeight,
     bott,
     bundle_cohomology,
-    exchange,
     summand_weight,
 )
 from symsyz.partitions import weyl_dim
+from symsyz.resolution import enlarged_space_table
 
-from oracles import bott_by_rho, line_bundle_cohomology
+from oracles import bott_by_exchange, bott_by_rho, exchange, line_bundle_cohomology
 
 
 def weight_st():
     def build(draw):
-        n = draw(st.integers(2, 6))
+        n = draw(st.integers(2, 12))
         m = draw(st.integers(1, n - 1))
         first = draw(
-            st.lists(st.integers(-6, 6), min_size=m, max_size=m).map(
+            st.lists(st.integers(-10, 10), min_size=m, max_size=m).map(
                 lambda xs: tuple(sorted(xs, reverse=True))
             )
         )
         second = draw(
-            st.lists(st.integers(-6, 6), min_size=n - m, max_size=n - m).map(
+            st.lists(st.integers(-10, 10), min_size=n - m, max_size=n - m).map(
                 lambda xs: tuple(sorted(xs, reverse=True))
             )
         )
         return QDominantWeight(n, m, first + second)
 
     return st.composite(build)()
+
+
+def assert_agrees(answer, expected):
+    """`expected` is an oracle's None or (degree, label)."""
+    if expected is None:
+        assert answer.zero
+    else:
+        assert (answer.degree, answer.label) == expected
 
 
 def test_exchange_examples():
@@ -81,12 +90,24 @@ def test_bott_euler_characteristic():
 @settings(max_examples=400)
 @given(weight_st())
 def test_bott_matches_rho_oracle(w):
-    expected = bott_by_rho(w.entries, w.m)
     answer = bott(w)
-    if expected is None:
-        assert answer.zero
-    else:
-        assert (answer.degree, answer.label) == expected
+    assert_agrees(answer, bott_by_rho(w.entries, w.m))
+    assert_agrees(answer, bott_by_exchange(w.entries, w.m))
+
+
+def test_enlarged_summands_match_exchange_oracle(monkeypatch):
+    # every summand weight the enlarged base feeds to bott, for each even k
+    # with n <= 12 (the package's name `bott` is the function, so import the
+    # module itself)
+    module = importlib.import_module("symsyz.bott")
+    weights = []
+    monkeypatch.setattr(module, "bott", lambda w: weights.append(w) or bott(w))
+    for n in range(3, 13):
+        for k in range(2, n, 2):
+            enlarged_space_table(n, k, n)
+    assert len(weights) == sum(2 ** (n - k // 2) for n in range(3, 13) for k in range(2, n, 2))
+    for w in weights:
+        assert_agrees(bott(w), bott_by_exchange(w.entries, w.m))
 
 
 @settings(max_examples=200)

@@ -1,4 +1,3 @@
-import importlib
 import json
 import os
 import subprocess
@@ -9,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from symsyz import geometry, partitions, resolution, verify, weyl
-from symsyz.cli import MAX_WALK_LOG2, main, walk_log2
+from symsyz.cli import MAX_SCHUBERT_N, MAX_WALK_LOG2, main, walk_log2
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -110,6 +109,9 @@ def test_schubert_command(capsys):
 def test_schubert_invalid(capsys):
     code, _, err = run(capsys, "schubert", "--n", "3", "--k", "2", "--r", "2")
     assert code == 2 and err.startswith("error:")
+    # invalid parameters are reported as such even above the size cap
+    code, _, err = run(capsys, "schubert", "--n", "1000000000000", "--k", "5", "--r", "2")
+    assert code == 2 and err.startswith("error:invalid-params:")
 
 
 def test_betti_alias(capsys):
@@ -170,6 +172,17 @@ def test_resolve_refuses_oversized_walk_up_front(capsys, n):
     assert err.startswith("error:too-large:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n", ["31", "1000000000000"])
+def test_schubert_refuses_oversized_n_up_front(capsys, n):
+    # the pattern scan of w_max reads C(2n, 4) subsequences: n = 30 takes seconds
+    assert MAX_SCHUBERT_N == 30
+    start = time.perf_counter()
+    code, out, err = run(capsys, "schubert", "--n", n, "--k", "1", "--r", "3")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:too-large:") and err.count("\n") == 1
+
+
 def test_walk_size_boundary():
     # the closed form walks 2^(n-k+1) leg tuples, the enlarged base 2^(n-k/2)
     assert MAX_WALK_LOG2 == 17
@@ -184,10 +197,6 @@ def test_walk_size_boundary():
 BREAKAGES = {
     # a wrong Weyl denominator leaves a remainder in the exact quotient
     "non-integral-dimension": (partitions, "_weyl_denominator", lambda n: 10**9 + 7),
-    # an exchange rule that cycles runs past the sorting bound
-    # (the package's name `bott` is the function, so import the module itself)
-    "exchange-bound": (importlib.import_module("symsyz.bott"), "_first_ascent",
-                       lambda seq: 1),
     "bundle-rank": (resolution.XiDescription, "check_rank", lambda self: False),
 }
 
