@@ -31,9 +31,7 @@ from .resolution import (
     BettiTable,
     RationalSingularityViolation,
     UnsupportedBundleError,
-    XiDescription,
     assemble,
-    build_xi_description,
     consistency_check,
     enlarged_space_table,
     jpw_closed_form,

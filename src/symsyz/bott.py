@@ -85,31 +85,22 @@ def bott(w: QDominantWeight) -> CohomologyAnswer:
                             label=tuple(v - (n - 1 - p) for p, v in enumerate(merged)))
 
 
-def summand_weight(
-    n: int, m: int, mu: tuple[int, ...], nu: tuple[int, ...]
-) -> QDominantWeight:
-    """Encode the irreducible summand with quotient-side label mu (at most m
-    parts) and sub-side label nu (at most n-m parts) as the n-tuple
-    (mu, nu) with cut m; the algorithm's block swap then sorts (nu, mu),
-    which is the order the right action of the parabolic dictates."""
-    if len(mu) > m or len(nu) > n - m:
-        raise ValueError(f"labels {(mu, nu)} too long for cut {m} of n={n}")
-    entries = tuple(mu) + (0,) * (m - len(mu)) + tuple(nu) + (0,) * (n - m - len(nu))
-    return QDominantWeight(n, m, entries)
+def bundle_cohomology(labels, n: int, m: int) -> dict[int, list[tuple[int, ...]]]:
+    """Aggregate `bott` over a completely reducible bundle built from the
+    rank-m quotient.
 
-
-def bundle_cohomology(
-    summands, n: int, m: int
-) -> dict[int, list[tuple[int, ...]]]:
-    """Aggregate `bott` over a completely reducible bundle.
-
-    `summands` is an iterable of (mu, nu) label pairs, repeated according to
-    multiplicity. Returns {cohomological degree: sorted list of labels}.
+    `labels` is an iterable of quotient-side Schur labels mu (at most m
+    parts), repeated according to multiplicity. Each is the weight
+    (mu, 0^(n - len mu)) with cut m; the block swap then sorts
+    (0^(n-m), mu), which is the order the right action of the parabolic
+    dictates. Returns {cohomological degree: sorted list of labels}.
     """
     by_degree: dict[int, list[tuple[int, ...]]] = {}
-    for mu, nu in summands:
-        answer = bott(summand_weight(n, m, tuple(mu), tuple(nu)))
+    for mu in labels:
+        if len(mu) > m:
+            raise ValueError(f"label {tuple(mu)} too long for cut {m} of n={n}")
+        answer = bott(QDominantWeight(n, m, tuple(mu) + (0,) * (n - len(mu))))
         if answer.zero:
             continue
         by_degree.setdefault(answer.degree, []).append(answer.label)
-    return {j: sorted(labels, reverse=True) for j, labels in sorted(by_degree.items())}
+    return {j: sorted(found, reverse=True) for j, found in sorted(by_degree.items())}

@@ -15,7 +15,6 @@ from .bott import QDominantWeight, bott
 from .geometry import PluckerMismatch, SliceEscape, desing_data, opposite_cell_pattern
 from .partitions import NonIntegralDimension
 from .resolution import (
-    BundleRankMismatch,
     RationalSingularityViolation,
     k_polynomial,
     resolve,
@@ -44,7 +43,6 @@ MAX_SCHUBERT_N = 30  # the 4231/3142 scan of w_max reads all C(2n, 4) subsequenc
 INTEGRITY_CODES = {
     RationalSingularityViolation: "rational-singularity-violation",
     NonIntegralDimension: "non-integral-dimension",
-    BundleRankMismatch: "bundle-rank",
     PluckerMismatch: "plucker-mismatch",
     SliceEscape: "slice-escape",
     PermutationWordError: "permutation-word",
@@ -72,8 +70,6 @@ def walk_log2(n: int, k: int) -> int:
 
 
 def cmd_resolve(args) -> int:
-    if args.max_t is not None and args.max_t < 0:
-        return _fail("invalid-params", f"--max-t must be >= 0, got {args.max_t}", USAGE_EXIT)
     if 1 <= args.k < args.r == args.n and (bits := walk_log2(args.n, args.k)) > MAX_WALK_LOG2:
         return _fail("too-large", f"(n, k) = ({args.n}, {args.k}) walks 2^{bits} leg tuples,"
                      f" more than 2^{MAX_WALK_LOG2}", USAGE_EXIT)
@@ -83,7 +79,7 @@ def cmd_resolve(args) -> int:
         return _fail("invalid-params", str(exc), USAGE_EXIT)
     except tuple(INTEGRITY_CODES) as exc:
         return _integrity_failure(exc)
-    data = desing_data(args.n, args.k, args.r)
+    data = report.data
     if not report.supported():
         if args.format == "json":
             _print_json({
@@ -100,7 +96,7 @@ def cmd_resolve(args) -> int:
             "params": {"n": args.n, "k": args.k, "r": args.r},
             "ring": {"variables": data.ambient_dim},
             "betti": report.table.to_json_dict(),
-            "codim": report.codim,
+            "codim": data.codim,
             "k_polynomial": k_polynomial(report.table),
             "degree": report.consistency.degree,
             "divisible": report.consistency.divisible,
@@ -110,7 +106,7 @@ def cmd_resolve(args) -> int:
     else:
         print(f"minimal free resolution terms for (n, k, r) = ({args.n}, {args.k}, {args.r})")
         print(report.table.text_grid())
-        print(f"codim {report.codim}; K-polynomial {k_polynomial(report.table)}")
+        print(f"codim {data.codim}; K-polynomial {k_polynomial(report.table)}")
         print(
             f"K divisible by (1-z)^codim: {report.consistency.divisible};"
             f" degree {report.consistency.degree}"

@@ -10,7 +10,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .bott import bundle_cohomology
-from .partitions import _rows_from_hooks, hook_family, schur_dim, weyl_dim
+from .geometry import DesingData, desing_data
+from .partitions import _rows_from_hooks, hook_family, weyl_dim
 from .polynomials import Poly, poly_det, span_rank_and_basis
 from .weyl import check_parameters
 
@@ -20,18 +21,9 @@ class RationalSingularityViolation(RuntimeError):
     rational-singularities guarantee this can only mean an upstream bug."""
 
 
-class BundleRankMismatch(RuntimeError):
-    """The summands of the bundle model do not add up to its rank."""
-
-
 class UnsupportedBundleError(ValueError):
-    """The requested bundle description is not completely reducible; carries
-    a machine-readable reason code."""
-
-    def __init__(self, reason: str, detail: str):
-        self.reason = reason
-        self.detail = detail
-        super().__init__(f"{reason}: {detail}")
+    """The enlarged-base model does not exist for these parameters; the
+    message starts with a machine-readable reason code."""
 
 
 @dataclass
@@ -232,74 +224,37 @@ def minor_generators(n: int, k: int) -> list[Poly]:
 # The completely reducible bundle over the enlarged base
 
 
-@dataclass(frozen=True)
-class XiDescription:
-    """Description of the dual quotient bundle over the enlarged base: the
-    symmetric square of the dual tautological quotient on the Grassmannian
-    of u-planes in n-space (base cut m = n - u)."""
-
-    n: int
-    u: int
-    rank: int
-
-    @property
-    def m(self) -> int:
-        return self.n - self.u
-
-    def summands(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """(quotient-side, sub-side) labels of the bundle itself."""
-        return [((2,), ())]
-
-    def check_rank(self) -> bool:
-        return self.rank == sum(
-            schur_dim(mu, self.m) * schur_dim(nu, self.u)
-            for mu, nu in self.summands()
-        )
-
-
-def build_xi_description(n: int, k: int, r: int) -> XiDescription:
-    """Completely reducible model of the syzygy bundle, available exactly
-    when r = n and k is even (k = 2u); other parameters raise a structured
-    unsupported-case signal, never a wrong answer."""
-    check_parameters(n, k, r)
-    if r < n:
-        raise UnsupportedBundleError(
-            "not-completely-reducible",
-            f"r={r} < n={n}: the unipotent radical acts nontrivially on the"
-            " quotient module, so exterior powers have no irreducible"
-            " decomposition to feed the cohomology algorithm",
-        )
-    if k % 2:
-        raise UnsupportedBundleError(
-            "odd-rank-bound",
-            f"k={k} is odd: the enlarged-space model needs k = 2u",
-        )
-    u = k // 2
-    xi = XiDescription(n=n, u=u, rank=(n - u) * (n - u + 1) // 2)
-    if not xi.check_rank():
-        raise BundleRankMismatch(f"summands of {xi} do not add up to its rank")
-    return xi
-
-
 def enlarged_space_table(n: int, k: int, r: int, max_t: int | None = None) -> BettiTable:
     """Betti table of the direct image over the enlarged space: the
     cohomology oracle is Bott's algorithm on the exterior powers of the
     completely reducible bundle. Contains the closed-form table of the
     determinantal locus as a sub-table.
 
-    The t-th exterior power of Sym^2 of the rank-m quotient has the offset-1
-    hook partitions of 2t with legs below m as its summands (sub-side label
-    empty); one walk of that family groups them all by t."""
-    xi = build_xi_description(n, k, r)
-    cap = xi.rank if max_t is None else min(max_t, xi.rank)
-    summands: dict[int, list] = {}
-    for legs, _, size in hook_family(1, xi.m - 1):
+    The bundle is Sym^2 of the dual tautological quotient, of rank m = n - k/2,
+    on the Grassmannian of k/2-planes in n-space; it exists exactly when
+    r = n and k is even, and other parameters raise UnsupportedBundleError,
+    never a wrong answer. Its t-th exterior power has the offset-1 hook
+    partitions of 2t with legs below m as its summands, so t runs up to
+    m(m+1)/2; one walk of that family groups them all by t."""
+    check_parameters(n, k, r)
+    if r < n:
+        raise UnsupportedBundleError(
+            f"not-completely-reducible: r={r} < n={n}: the unipotent radical acts"
+            " nontrivially on the quotient module, so exterior powers have no"
+            " irreducible decomposition to feed the cohomology algorithm"
+        )
+    if k % 2:
+        raise UnsupportedBundleError(
+            f"odd-rank-bound: k={k} is odd: the enlarged-space model needs k = 2u"
+        )
+    m = n - k // 2
+    top = m * (m + 1) // 2
+    cap = top if max_t is None else min(max_t, top)
+    labels: dict[int, list] = {}
+    for legs, _, size in hook_family(1, m - 1):
         if size // 2 <= cap:
-            lam = _rows_from_hooks([b + 1 for b in legs], legs)
-            summands.setdefault(size // 2, []).append((lam, ()))
-    return assemble(
-        {t: bundle_cohomology(terms, xi.n, xi.m) for t, terms in summands.items()}, cap
-    )
+            labels.setdefault(size // 2, []).append(_rows_from_hooks([b + 1 for b in legs], legs))
+    return assemble({t: bundle_cohomology(mus, n, m) for t, mus in labels.items()}, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +267,7 @@ class ResolveReport:
     k: int
     r: int
     table: BettiTable | None
-    codim: int
+    data: DesingData
     consistency: ConsistencyReport | None
     enlarged: BettiTable | None
     enlarged_contains_closed_form: bool | None
@@ -327,13 +282,13 @@ def resolve(n: int, k: int, r: int, max_t: int | None = None) -> ResolveReport:
     cross-check when it exists; for r < n only the geometry is computable
     and the report says why. `max_t` (the CLI's --max-t) is a degree
     filter: both tables keep only internal degrees t <= max_t."""
-    from .geometry import desing_data  # local import to keep modules acyclic
-
     check_parameters(n, k, r)
+    if max_t is not None and max_t < 0:
+        raise ValueError(f"max_t must be >= 0, got {max_t}")
     data = desing_data(n, k, r)
     if r < n:
         return ResolveReport(
-            n=n, k=k, r=r, table=None, codim=data.codim, consistency=None,
+            n=n, k=k, r=r, table=None, data=data, consistency=None,
             enlarged=None, enlarged_contains_closed_form=None,
             unsupported_reason=(
                 "no closed form for r < n; the syzygy bundle over the"
@@ -344,7 +299,7 @@ def resolve(n: int, k: int, r: int, max_t: int | None = None) -> ResolveReport:
     if not table.is_resolution_shape():
         raise RationalSingularityViolation("closed-form table has spurious generators")
     report = ResolveReport(
-        n=n, k=k, r=r, table=table, codim=data.codim,
+        n=n, k=k, r=r, table=table, data=data,
         consistency=consistency_check(table, data.codim),
         enlarged=None, enlarged_contains_closed_form=None,
     )

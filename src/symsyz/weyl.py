@@ -64,7 +64,8 @@ def _is_pattern_match(sub: tuple[int, ...], pattern: tuple[int, ...]) -> bool:
 def avoids_patterns(word: Sequence[int], patterns: Sequence[Sequence[int]]) -> bool:
     """True iff no subsequence of word is order-isomorphic to any pattern.
 
-    Exhaustive subsequence scan; fine for word lengths up to ~12.
+    Exhaustive scan of all C(len(word), len(pattern)) subsequences: a word
+    of 60 letters (`schubert` at its cap n = 30) takes seconds.
 
     >>> avoids_patterns((1, 2, 3, 4), [(4, 2, 3, 1)])
     True

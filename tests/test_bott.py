@@ -8,7 +8,6 @@ from symsyz.bott import (
     QDominantWeight,
     bott,
     bundle_cohomology,
-    summand_weight,
 )
 from symsyz.partitions import weyl_dim
 from symsyz.resolution import enlarged_space_table
@@ -132,24 +131,24 @@ def test_nonincreasing_weight_lands_in_degree_zero():
 
 def test_bundle_cohomology_empty_and_trivial():
     assert bundle_cohomology([], 3, 1) == {}
-    out = bundle_cohomology([((), ())], 3, 1)
+    out = bundle_cohomology([()], 3, 1)
     assert out == {0: [(0, 0, 0)]}
 
 
 def test_bundle_cohomology_forced_hypersurface_class():
     # the rank-two case: the top exterior power of the syzygy bundle over
     # the projective line must contribute exactly one class in degree one
-    out = bundle_cohomology([((3,), (1,))], 2, 1)
-    assert len(out) == 1 and 1 in out
-    (label,) = out[1]
-    assert weyl_dim(label) == 1
+    answer = bott(QDominantWeight(2, 1, (3, 1)))
+    assert not answer.zero and answer.degree == 1
+    assert answer.dimension == 1
 
 
-def test_summand_weight_shapes():
-    w = summand_weight(4, 3, (2, 1), ())
-    assert w.entries == (2, 1, 0, 0) and w.m == 3
+def test_bundle_cohomology_rejects_long_label():
+    # a label is padded with zeros to n entries, so it has at most m parts
+    expected = bott(QDominantWeight(4, 3, (2, 1, 0, 0)))
+    assert bundle_cohomology([(2, 1)], 4, 3) == {expected.degree: [expected.label]}
     with pytest.raises(ValueError):
-        summand_weight(3, 1, (1, 1), ())
+        bundle_cohomology([(1, 1)], 3, 1)
 
 
 def test_bott_projective_space_sections():

@@ -10,6 +10,8 @@ import pytest
 from symsyz import geometry, partitions, resolution, verify, weyl
 from symsyz.cli import MAX_SCHUBERT_N, MAX_WALK_LOG2, main, walk_log2
 
+from test_perfbench_contract import _load_checks
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -163,6 +165,20 @@ def test_resolve_refuses_negative_max_t(capsys):
     assert err.startswith("error:invalid-params:") and err.count("\n") == 1
 
 
+def test_resolve_tables_pass_the_benchmark_checks(capsys):
+    # the benchmark's independent reference tables, closed form and enlarged
+    # base, for every r = n up to 9, untruncated and filtered at t <= n
+    checks = _load_checks()
+    for n in range(3, 10):
+        for k in range(1, n):
+            for max_t in (None, n):
+                argv = ["resolve", "--n", str(n), "--k", str(k), "--r", str(n), "--format", "json"]
+                argv += [] if max_t is None else ["--max-t", str(max_t)]
+                code, out, _ = run(capsys, *argv)
+                assert code == 0, argv
+                assert checks.resolve_problems(json.loads(out), n, k, max_t) == [], argv
+
+
 @pytest.mark.parametrize("n", ["20", "1000000000000"])
 def test_resolve_refuses_oversized_walk_up_front(capsys, n):
     start = time.perf_counter()
@@ -197,7 +213,9 @@ def test_walk_size_boundary():
 BREAKAGES = {
     # a wrong Weyl denominator leaves a remainder in the exact quotient
     "non-integral-dimension": (partitions, "_weyl_denominator", lambda n: 10**9 + 7),
-    "bundle-rank": (resolution.XiDescription, "check_rank", lambda self: False),
+    # a closed-form table with a stray generator breaks the resolution shape
+    "rational-singularity-violation": (resolution.BettiTable, "is_resolution_shape",
+                                       lambda self: False),
 }
 
 

@@ -133,6 +133,8 @@ def test_weyl_dim_agrees_with_hook_content(lam, e):
 def test_exterior_of_sym2_basics():
     assert exterior_of_sym2(0, 5) == [((), 1)]
     assert exterior_of_sym2(1, 5) == [((2,), 1)]
+    assert exterior_of_sym2(2, 2) == [((3, 1), 1)]
+    assert exterior_of_sym2(0, 2) == [((), 1)]
     dims = sum(schur_dim(lam, 2) for lam, _ in exterior_of_sym2(2, 2))
     assert dims == comb(3, 2)
 

@@ -3,14 +3,14 @@ from math import comb
 
 import pytest
 
+from symsyz import resolution
 from symsyz.geometry import desing_data
-from symsyz.partitions import FrobeniusHooks, exterior_of_sym2, from_hooks
+from symsyz.partitions import FrobeniusHooks, from_hooks
 from symsyz.resolution import (
     BettiTable,
     RationalSingularityViolation,
     UnsupportedBundleError,
     assemble,
-    build_xi_description,
     consistency_check,
     enlarged_space_table,
     jpw_by_degree_scan,
@@ -174,20 +174,36 @@ def test_minor_generator_counts_and_degrees():
             assert len(gens) == jpw_closed_form(n, k).entries[(1, k + 1)]
 
 
-def test_xi_description():
-    xi = build_xi_description(3, 2, 3)
-    assert (xi.n, xi.u, xi.m, xi.rank) == (3, 1, 2, 3)
-    assert xi.summands() == [((2,), ())]
-    assert exterior_of_sym2(2, 2) == [((3, 1), 1)]
-    assert exterior_of_sym2(0, 2) == [((), 1)]
-    xi4 = build_xi_description(4, 2, 4)
-    assert xi4.rank == 6
-    with pytest.raises(UnsupportedBundleError) as err:
-        build_xi_description(4, 2, 3)
-    assert err.value.reason == "not-completely-reducible"
-    with pytest.raises(UnsupportedBundleError) as err:
-        build_xi_description(3, 1, 3)
-    assert err.value.reason == "odd-rank-bound"
+def test_enlarged_space_table_rejects_unsupported_parameters():
+    for (n, k, r), reason in (((4, 2, 3), "not-completely-reducible"),
+                              ((3, 1, 3), "odd-rank-bound")):
+        with pytest.raises(UnsupportedBundleError) as err:
+            enlarged_space_table(n, k, r)
+        assert str(err.value).startswith(f"{reason}: "), (n, k, r)
+
+
+def test_enlarged_top_degree_is_the_bundle_rank(monkeypatch):
+    # Sym^2 of the rank-m quotient has rank m(m+1)/2: every exterior degree
+    # up to it has summands, none above, and max_t clamps the walk to it
+    # (the top class itself may vanish, as at (5, 4))
+    caps = []
+    real = resolution.assemble
+    monkeypatch.setattr(resolution, "assemble",
+                        lambda oracle, cap: caps.append((set(oracle), cap)) or real(oracle, cap))
+    for n in range(3, 11):
+        for k in range(2, n, 2):
+            m = n - k // 2
+            top = m * (m + 1) // 2
+            full = enlarged_space_table(n, k, n)
+            assert caps.pop() == (set(range(top + 1)), top), (n, k)
+            assert full.max_degree() <= top
+            assert enlarged_space_table(n, k, n, max_t=10**9).entries == full.entries
+            assert caps.pop()[1] == top, (n, k)
+            capped = enlarged_space_table(n, k, n, max_t=top // 2)
+            assert caps.pop() == (set(range(top // 2 + 1)), top // 2), (n, k)
+            assert capped.entries == {
+                key: mult for key, mult in full.entries.items() if key[1] <= top // 2
+            }, (n, k)
 
 
 ENLARGED_3 = {(0, 0): 1, (0, 1): 3, (1, 2): 3, (1, 3): 1}
@@ -222,7 +238,7 @@ def test_enlarged_k_polynomial_degree_doubles():
 def test_resolve_reports():
     report = resolve(3, 1, 3)
     assert report.table.entries == VERONESE
-    assert report.codim == 3
+    assert report.data == desing_data(3, 1, 3) and report.data.codim == 3
     assert report.consistency.degree == 4
     assert report.enlarged is None  # odd k has no enlarged model
     report = resolve(4, 2, 4)
@@ -230,6 +246,18 @@ def test_resolve_reports():
     report = resolve(4, 2, 3)
     assert not report.supported()
     assert "not completely reducible" in report.unsupported_reason
+    assert report.data == desing_data(4, 2, 3)
+
+
+def test_resolve_refuses_negative_max_t():
+    # refused before any table is built, for r = n and r < n alike; a
+    # negative filter would otherwise read as a failed containment
+    for r in (4, 3):
+        with pytest.raises(ValueError, match="max_t"):
+            resolve(4, 2, r, max_t=-1)
+    report = resolve(4, 2, 4, max_t=0)
+    assert report.table.entries == {(0, 0): 1}
+    assert report.enlarged_contains_closed_form is True
 
 
 def test_betti_table_helpers():
