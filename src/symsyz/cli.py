@@ -21,6 +21,7 @@ from .resolution import (
 )
 from .verify import DEFAULT_SUITES, run_suites
 from .weyl import (
+    InvalidParameters,
     ParabolicMarker,
     PermutationWordError,
     WeylElementC,
@@ -46,6 +47,7 @@ INTEGRITY_CODES = {
     PluckerMismatch: "plucker-mismatch",
     SliceEscape: "slice-escape",
     PermutationWordError: "permutation-word",
+    ValueError: "internal-value-error",  # last: any other ValueError past the boundary checks
 }
 
 
@@ -75,7 +77,7 @@ def cmd_resolve(args) -> int:
                      f" more than 2^{MAX_WALK_LOG2}", USAGE_EXIT)
     try:
         report = resolve(args.n, args.k, args.r, max_t=args.max_t)
-    except ValueError as exc:
+    except InvalidParameters as exc:
         return _fail("invalid-params", str(exc), USAGE_EXIT)
     except tuple(INTEGRITY_CODES) as exc:
         return _integrity_failure(exc)

@@ -65,7 +65,9 @@ def _exact(num: int, den: int):
 def _scaled(m: Matrix) -> tuple[list[list[int]], int]:
     """Integer rows and one common denominator: m == rows / den. Products
     of exact matrices then cost one normalisation per entry instead of one
-    per Fraction operation."""
+    per Fraction operation. An all-int matrix comes back as it is, den 1."""
+    if all(type(x) is int for row in m for x in row):
+        return m, 1
     den = lcm(1, *(x.denominator for row in m for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in m], den
 
@@ -125,8 +127,10 @@ def det_bareiss(m: Matrix):
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         return 1
-    # on the integer matrix den * m every Bareiss division is exact
-    a, den = _scaled(m)
+    # on the integer matrix den * m every Bareiss division is exact; the
+    # elimination overwrites a copy of its rows
+    rows, den = _scaled(m)
+    a = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):

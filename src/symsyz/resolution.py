@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import comb
 
 from .bott import bundle_cohomology
 from .geometry import DesingData, desing_data
-from .partitions import _rows_from_hooks, hook_family, weyl_dim
+from .partitions import NonIntegralDimension, _rows_from_hooks, hook_family, weyl_dim
 from .polynomials import Poly, poly_det, span_rank_and_basis
-from .weyl import check_parameters
+from .weyl import InvalidParameters, check_parameters
 
 
 class RationalSingularityViolation(RuntimeError):
@@ -65,10 +66,8 @@ class BettiTable:
     def to_json_dict(self) -> list[dict]:
         out = []
         for (i, d), mult in self.sorted_items():
-            labels = [
-                [list(label), dim]
-                for label, dim in sorted(self.provenance.get((i, d), []), reverse=True)
-            ]
+            # (label, dim) tuples: json writes them as arrays, no copies needed
+            labels = sorted(self.provenance.get((i, d), []), reverse=True)
             out.append({"i": i, "degree": d, "mult": mult, "schur": labels})
         return out
 
@@ -113,17 +112,30 @@ def assemble(oracle: dict, max_t: int) -> BettiTable:
     return table
 
 
+def _one_hook_factor(n: int, k: int, b: int) -> int:
+    """(n+b)! / (b! (n-k-b)! (b+k-1)!): the closed-form member of (n, k)
+    with the single leg b has dimension F(b) / (2b + k)."""
+    return (n + b) * comb(n + b - 1, b) * comb(n - 1, b + k - 1)
+
+
 def jpw_closed_form(n: int, k: int, max_t: int | None = None) -> BettiTable:
     """Closed-form Betti table of the locus of symmetric n-by-n matrices of
     rank at most k: position i >= 1 collects, over even-rank hook partitions
     lambda of 2t with arm = leg + (k-1) and i = t - k rank/2, the Schur
     dimensions of the conjugates; internal degree is t. The partitions have
     at most n columns, so their legs are at most n - k. A conjugate is built
-    from the member's hooks swapped, (legs, arms), and its dimension is the
-    Weyl dimension of its rows padded with zeros to length n.
+    from the member's hooks swapped, (legs, arms).
+
+    Its dimension comes from the member's parent, the member without its
+    smallest leg b (one rank lower, so one step earlier in the walk). The
+    conjugate's rho-shifted rows in GL_n are {n + b_i} and the rest of
+    0..n-1 without the n - k - b_i, and the Weyl product over them is
+    prod_i F(b_i) / (2 b_i + k) * prod_{i<j} ((b_i - b_j) / (b_i + b_j + k))^2,
+    so each member multiplies its parent's dimension by one such ratio.
 
     `max_t` filters the table to internal degrees t <= max_t; the generator
-    in degree 0 is always kept.
+    in degree 0 is always kept. A member above max_t is skipped, and so are
+    its children, whose degrees are larger.
 
     >>> jpw_closed_form(2, 1).entries
     {(0, 0): 1, (1, 2): 1}
@@ -134,12 +146,29 @@ def jpw_closed_form(n: int, k: int, max_t: int | None = None) -> BettiTable:
         raise ValueError(f"need 1 <= k < n, got {(n, k)}")
     table = BettiTable()
     table.add(0, 0, (), 1)
+    factors = [_one_hook_factor(n, k, b) for b in range(n - k + 1)]
+    # dimensions of the members of the current rank and of the rank below
+    rank, parents, dims = 0, {}, {(): 1}
     for legs, s, size in hook_family(k - 1, n - k):
         t = size // 2
-        if s == 0 or s % 2 or (max_t is not None and t > max_t):
+        if s == 0 or (max_t is not None and t > max_t):
             continue
-        dual = _rows_from_hooks(legs, [b + k - 1 for b in legs])
-        table.add(t - k * s // 2, t, dual, weyl_dim(dual + (0,) * (n - len(dual))))
+        if s != rank:
+            rank, parents, dims = s, dims, {}
+        b, head = legs[-1], legs[:-1]
+        num, den = factors[b], 2 * b + k
+        for c in head:
+            num *= (c - b) ** 2
+            den *= (b + c + k) ** 2
+        dim, rest = divmod(parents[head] * num, den)
+        if rest:
+            raise NonIntegralDimension(
+                f"closed-form dimension of legs {legs} at {(n, k)} is not an integer:"
+                f" {parents[head]} * {num}/{den}"
+            )
+        dims[legs] = dim
+        if s % 2 == 0:
+            table.add(t - k * s // 2, t, _rows_from_hooks(legs, [b + k - 1 for b in legs]), dim)
     return table
 
 
@@ -284,7 +313,7 @@ def resolve(n: int, k: int, r: int, max_t: int | None = None) -> ResolveReport:
     filter: both tables keep only internal degrees t <= max_t."""
     check_parameters(n, k, r)
     if max_t is not None and max_t < 0:
-        raise ValueError(f"max_t must be >= 0, got {max_t}")
+        raise InvalidParameters(f"max_t must be >= 0, got {max_t}")
     data = desing_data(n, k, r)
     if r < n:
         return ResolveReport(

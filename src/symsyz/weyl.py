@@ -223,9 +223,13 @@ def family_element(n: int, k: int, r: int) -> WeylElementC:
     return WeylElementC(n, tuple(half))
 
 
+class InvalidParameters(ValueError):
+    """An input refused at the API boundary: a usage error, not a fault."""
+
+
 def check_parameters(n: int, k: int, r: int) -> None:
     if not (1 <= k < r <= n):
-        raise ValueError(f"parameters must satisfy 1 <= k < r <= n, got {(n, k, r)}")
+        raise InvalidParameters(f"parameters must satisfy 1 <= k < r <= n, got {(n, k, r)}")
 
 
 def h_side_cuts(marker: ParabolicMarker, n: int) -> tuple[int, ...]:

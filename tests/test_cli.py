@@ -211,41 +211,67 @@ def test_walk_size_boundary():
 
 
 BREAKAGES = {
-    # a wrong Weyl denominator leaves a remainder in the exact quotient
-    "non-integral-dimension": (partitions, "_weyl_denominator", lambda n: 10**9 + 7),
+    # a wrong Weyl denominator leaves a remainder in the exact quotient; of
+    # resolve only the enlarged base (even k) still divides by it
+    "non-integral-dimension": ("non-integral-dimension", (4, 2), partitions,
+                               "_weyl_denominator", lambda n: 10**9 + 7),
+    # a wrong one-hook factor leaves a remainder in the closed form's
+    # parent-to-member ratio; odd k runs no enlarged base
+    "non-integral-dimension-closed-form": ("non-integral-dimension", (5, 1), resolution,
+                                           "_one_hook_factor", lambda n, k, b: 10**9 + 7),
     # a closed-form table with a stray generator breaks the resolution shape
-    "rational-singularity-violation": (resolution.BettiTable, "is_resolution_shape",
+    "rational-singularity-violation": ("rational-singularity-violation", (4, 2),
+                                       resolution.BettiTable, "is_resolution_shape",
                                        lambda self: False),
 }
 
 
-@pytest.mark.parametrize("code_name", sorted(BREAKAGES))
-def test_resolve_integrity_failures_exit_3(capsys, monkeypatch, code_name):
-    target, name, broken = BREAKAGES[code_name]
+def _resolve_argv(n, k):
+    return ["resolve", "--n", str(n), "--k", str(k), "--r", str(n), "--format", "json"]
+
+
+@pytest.mark.parametrize("case", sorted(BREAKAGES))
+def test_resolve_integrity_failures_exit_3(capsys, monkeypatch, case):
+    code_name, (n, k), target, name, broken = BREAKAGES[case]
     monkeypatch.setattr(target, name, broken)
-    code, out, err = run(capsys, "resolve", "--n", "4", "--k", "2", "--r", "4",
-                         "--format", "json")
+    code, out, err = run(capsys, *_resolve_argv(n, k))
     assert code == 3 and out == ""
     assert err.startswith(f"error:{code_name}:") and err.count("\n") == 1
 
 
+def test_resolve_internal_value_error_exits_3(capsys, monkeypatch):
+    # only the boundary checks are usage errors; a ValueError from deeper in
+    # the pipeline is an internal fault
+    def broken(labels, n, m):
+        raise ValueError(f"label {labels[0]} too long for cut {m}")
+
+    monkeypatch.setattr(resolution, "bundle_cohomology", broken)
+    code, out, err = run(capsys, *_resolve_argv(4, 2))
+    assert code == 3 and out == ""
+    assert err.startswith("error:internal-value-error:") and err.count("\n") == 1
+
+
 def test_resolve_integrity_check_survives_optimize(capsys):
     # under python -O a healthy run prints the same bytes, and a broken
-    # Weyl denominator still exits 3 with one error line
-    argv = ["resolve", "--n", "4", "--k", "2", "--r", "4", "--format", "json"]
+    # Weyl denominator or one-hook factor still exits 3 with one error line
+    argv = _resolve_argv(4, 2)
     _, expected, _ = run(capsys, *argv)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     healthy = subprocess.run([sys.executable, "-O", "-m", "symsyz.cli", *argv],
                              env=env, capture_output=True, text=True, timeout=60)
     assert healthy.returncode == 0 and healthy.stdout == expected
-    script = ("import sys, symsyz.partitions as p, symsyz.cli as cli;"
-              " p._weyl_denominator = lambda n: 10**9 + 7;"
-              " sys.exit(cli.main(sys.argv[1:]))")
-    broken = subprocess.run([sys.executable, "-O", "-c", script, *argv],
-                            env=env, capture_output=True, text=True, timeout=60)
-    assert broken.returncode == 3 and broken.stdout == ""
-    assert broken.stderr.startswith("error:non-integral-dimension:")
-    assert broken.stderr.count("\n") == 1
+    breakages = [("symsyz.partitions", "_weyl_denominator = lambda n: 10**9 + 7", argv),
+                 ("symsyz.resolution", "_one_hook_factor = lambda n, k, b: 10**9 + 7",
+                  _resolve_argv(5, 1))]
+    for module, assignment, case in breakages:
+        script = (f"import sys, {module} as target, symsyz.cli as cli;"
+                  f" target.{assignment};"
+                  " sys.exit(cli.main(sys.argv[1:]))")
+        broken = subprocess.run([sys.executable, "-O", "-c", script, *case],
+                                env=env, capture_output=True, text=True, timeout=60)
+        assert broken.returncode == 3 and broken.stdout == "", module
+        assert broken.stderr.startswith("error:non-integral-dimension:"), module
+        assert broken.stderr.count("\n") == 1, module
 
 
 def test_verify_plucker_cross_check_survives_optimize():

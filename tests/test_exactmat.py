@@ -57,7 +57,9 @@ def test_det_bareiss_against_leibniz(rational):
             m[-1] = list(m[0])
         if rng.random() < 0.3:  # a zero pivot forces a row swap
             m[0][0] = 0
+        before = [list(row) for row in m]
         assert em.det_bareiss(m) == _naive_det(m)
+        assert m == before  # the elimination works on a copy
     assert em.det_bareiss([]) == 1
 
 

@@ -1,11 +1,12 @@
 import itertools
+import json
 from math import comb
 
 import pytest
 
 from symsyz import resolution
 from symsyz.geometry import desing_data
-from symsyz.partitions import FrobeniusHooks, from_hooks
+from symsyz.partitions import FrobeniusHooks, from_hooks, weyl_dim
 from symsyz.resolution import (
     BettiTable,
     RationalSingularityViolation,
@@ -113,6 +114,23 @@ def test_closed_form_against_oracle():
             assert {key: sorted(v) for key, v in table.provenance.items()} == {
                 key: sorted(v) for key, v in provenance.items()
             }, (n, k)
+
+
+def test_closed_form_dimensions_match_weyl_dim():
+    # each closed-form dimension is its parent's times one ratio; the Weyl
+    # product of the zero-padded label checks every one, filtered or not
+    expected: dict = {}
+    for n in range(2, 15):
+        for k in range(1, n):
+            for max_t in (None, n, 2 * n):
+                table = jpw_closed_form(n, k, max_t)
+                for entries in table.provenance.values():
+                    for label, dim in entries:
+                        key = (n, label)
+                        if key not in expected:
+                            expected[key] = weyl_dim(label + (0,) * (n - len(label)))
+                        assert dim == expected[key], (n, k, max_t, label)
+    assert len(expected) > 2**14
 
 
 def test_jpw_scan_agrees_with_direct():
@@ -265,8 +283,15 @@ def test_betti_table_helpers():
     grid = table.text_grid()
     assert "8" in grid and grid.count("\n") == 4
     rows = table.to_json_dict()
-    assert rows[0] == {"i": 0, "degree": 0, "mult": 1, "schur": [[[], 1]]}
-    assert rows[1]["schur"] == [[[2, 2], 6]]
+    assert rows[0] == {"i": 0, "degree": 0, "mult": 1, "schur": [((), 1)]}
+    assert rows[1]["schur"] == [((2, 2), 6)]
+    # json prints the (label, dim) tuples as nested arrays
+    assert json.dumps(rows) == (
+        '[{"i": 0, "degree": 0, "mult": 1, "schur": [[[], 1]]},'
+        ' {"i": 1, "degree": 2, "mult": 6, "schur": [[[2, 2], 6]]},'
+        ' {"i": 2, "degree": 3, "mult": 8, "schur": [[[3, 2, 1], 8]]},'
+        ' {"i": 3, "degree": 4, "mult": 3, "schur": [[[3, 3, 2], 3]]}]'
+    )
 
 
 JPW_5_2 = {
