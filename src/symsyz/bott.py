@@ -12,34 +12,41 @@ Schur label. The merge costs O(n) per weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import weyl_dim
 
 
-@dataclass(frozen=True)
-class QDominantWeight:
-    """Integer n-tuple weakly decreasing on positions 1..m and m+1..n."""
-
+class _Weight(NamedTuple):
     n: int
     m: int
     entries: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
-        if not 1 <= self.m <= self.n - 1:
-            raise ValueError(f"cut position {self.m} invalid for n={self.n}")
-        if len(self.entries) != self.n:
-            raise ValueError(f"weight must have {self.n} entries")
-        e, m = self.entries, self.m
+
+class QDominantWeight(_Weight):
+    """Integer n-tuple weakly decreasing on positions 1..m and m+1..n.
+
+    The constructor checks the cut and the two blocks. `_make` builds the
+    record without those checks; only `bundle_cohomology` uses it, for
+    weights that are valid by construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, m: int, entries):
+        e = tuple(int(x) for x in entries)
+        if not 1 <= m <= n - 1:
+            raise ValueError(f"cut position {m} invalid for n={n}")
+        if len(e) != n:
+            raise ValueError(f"weight must have {n} entries")
         if any(e[i] < e[i + 1] for i in range(m - 1)) or any(
-            e[i] < e[i + 1] for i in range(m, self.n - 1)
+            e[i] < e[i + 1] for i in range(m, n - 1)
         ):
             raise ValueError(f"weight {e} is not dominant for cut {m}")
+        return super().__new__(cls, n, m, e)
 
 
-@dataclass(frozen=True)
-class CohomologyAnswer:
+class CohomologyAnswer(NamedTuple):
     """Either nothing at all, or one group: (degree, Schur label)."""
 
     zero: bool
@@ -89,17 +96,21 @@ def bundle_cohomology(labels, n: int, m: int) -> dict[int, list[tuple[int, ...]]
     """Aggregate `bott` over a completely reducible bundle built from the
     rank-m quotient.
 
-    `labels` is an iterable of quotient-side Schur labels mu (at most m
-    parts), repeated according to multiplicity. Each is the weight
-    (mu, 0^(n - len mu)) with cut m; the block swap then sorts
+    `labels` is an iterable of quotient-side Schur labels mu (partitions
+    of at most m parts), repeated according to multiplicity. Each is the
+    weight (mu, 0^(n - len mu)) with cut m; the block swap then sorts
     (0^(n-m), mu), which is the order the right action of the parabolic
-    dictates. Returns {cohomological degree: sorted list of labels}.
+    dictates. A zero-padded partition is dominant for the cut, so the
+    weights skip the constructor's check; the cut and each label's length
+    are checked here. Returns {cohomological degree: sorted list of labels}.
     """
+    if not 1 <= m <= n - 1:
+        raise ValueError(f"cut position {m} invalid for n={n}")
     by_degree: dict[int, list[tuple[int, ...]]] = {}
     for mu in labels:
         if len(mu) > m:
             raise ValueError(f"label {tuple(mu)} too long for cut {m} of n={n}")
-        answer = bott(QDominantWeight(n, m, tuple(mu) + (0,) * (n - len(mu))))
+        answer = bott(QDominantWeight._make((n, m, tuple(mu) + (0,) * (n - len(mu)))))
         if answer.zero:
             continue
         by_degree.setdefault(answer.degree, []).append(answer.label)

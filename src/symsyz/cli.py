@@ -12,6 +12,7 @@ import json
 import sys
 
 from .bott import QDominantWeight, bott
+from .exactmat import InexactElimination
 from .geometry import PluckerMismatch, SliceEscape, desing_data, opposite_cell_pattern
 from .partitions import NonIntegralDimension
 from .resolution import (
@@ -47,6 +48,7 @@ INTEGRITY_CODES = {
     PluckerMismatch: "plucker-mismatch",
     SliceEscape: "slice-escape",
     PermutationWordError: "permutation-word",
+    InexactElimination: "inexact-elimination",
     ValueError: "internal-value-error",  # last: any other ValueError past the boundary checks
 }
 
@@ -173,7 +175,7 @@ def cmd_schubert(args) -> int:
         avoiding = avoids_patterns(wmax, [(4, 2, 3, 1), (3, 1, 4, 2)])
         cell_dimension = opposite_cell_pattern(args.n, args.k, args.r).dimension()
         data = desing_data(args.n, args.k, args.r)
-    except ValueError as exc:
+    except InvalidParameters as exc:
         return _fail("invalid-params", str(exc), USAGE_EXIT)
     except tuple(INTEGRITY_CODES) as exc:
         return _integrity_failure(exc)

@@ -100,24 +100,50 @@ def split4(m: Matrix, row_cut: int, col_cut: int) -> tuple[Matrix, Matrix, Matri
     return a, b, c, d
 
 
+class InexactElimination(ArithmeticError):
+    """A fraction-free elimination step that must divide exactly left a
+    remainder."""
+
+
 def inverse(m: Matrix) -> Matrix:
-    """Gauss-Jordan inverse; raises ValueError on singular input."""
+    """Fraction-free Gauss-Jordan (Bareiss) inverse; raises ValueError on
+    singular input.
+
+    Elimination runs on the integer matrix [den*m | I]. Each step divides
+    by the previous pivot exactly, and leaves the eliminated columns of the
+    left block as prev*I, so a row keeps only the columns still to come. At
+    the end the rows hold d*(den*m)^-1, d the last pivot. Integral entries
+    come back as int, the rest as Fraction.
+
+    >>> inverse([[2, 1], [1, 1]])
+    [[1, -1], [-1, 2]]
+    """
     n, c = shape(m)
     if n != c:
         raise ValueError("inverse needs a square matrix")
-    work = [[Fraction(x) for x in row] + unit for row, unit in zip(m, identity(n))]
+    rows, den = _scaled(m)
+    work = [list(row) + unit for row, unit in zip(rows, identity(n))]
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if work[r][0]), None)
         if pivot is None:
             raise ValueError("matrix is singular")
         work[col], work[pivot] = work[pivot], work[col]
-        inv_p = Fraction(1) / work[col][col]
-        work[col] = [x * inv_p for x in work[col]]
+        top = work[col]
+        p = top.pop(0)
         for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+            if r == col:
+                continue
+            row = work[r]
+            f = row[0]
+            steps = [divmod(p * x - f * y, prev) for x, y in zip(row[1:], top)]
+            if any(rest for _, rest in steps):
+                raise InexactElimination(
+                    f"Bareiss step on column {col} of a {n}x{n} inverse left a remainder"
+                )
+            work[r] = [q for q, _ in steps]
+        prev = p
+    return [[_exact(x * den, prev) for x in row] for row in work]
 
 
 def det_bareiss(m: Matrix):

@@ -15,8 +15,8 @@ parabolic quotient sit strictly below the block diagonal with cuts
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import exactmat as em
 from .polynomials import Poly
@@ -200,8 +200,7 @@ def _xvar(i: int, j: int):
     return ("x", i, j)
 
 
-@dataclass(frozen=True)
-class CellPattern:
+class CellPattern(NamedTuple):
     """Symbolic form of an opposite cell inside the big cell: every position
     of the 2n-by-2n matrix as a polynomial in the free coordinates."""
 
@@ -316,8 +315,7 @@ def random_symplectic_cell_point(n: int, k: int, r: int, rng: random.Random,
 # Linear slices and the product identification
 
 
-@dataclass(frozen=True)
-class LinearSlice:
+class LinearSlice(NamedTuple):
     """A linear space cut out by vanishing coordinates, with an explicit
     list of free positions; a symmetric slice holds symmetric matrices and
     lists one position of each pair."""
@@ -366,32 +364,35 @@ def v_prime_slice(n: int, k: int, r: int) -> LinearSlice:
     return LinearSlice(False, (n - l, l), free)
 
 
-@dataclass(frozen=True)
-class OppositeCellPoint:
-    """Point of the symplectic opposite cell, determined by the first band
-    A' ((n-(r-k)) x (r-k), bottom n-r rows zero) and the middle block D2
-    (J D2 symmetric); the bottom band is the derived block -J (A')^T J."""
-
+class _CellBlocks(NamedTuple):
     n: int
     k: int
     r: int
     a_prime: tuple
     d2: tuple
 
-    def __post_init__(self):
-        l = self.r - self.k
-        q = self.n - l
-        a_prime = em.from_rows(self.a_prime)
-        d2 = em.from_rows(self.d2)
+
+class OppositeCellPoint(_CellBlocks):
+    """Point of the symplectic opposite cell, determined by the first band
+    A' ((n-(r-k)) x (r-k), bottom n-r rows zero) and the middle block D2
+    (J D2 symmetric); the bottom band is the derived block -J (A')^T J.
+    The constructor checks both blocks and stores them as tuples of rows."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, k: int, r: int, a_prime, d2):
+        l = r - k
+        q = n - l
+        a_prime = em.from_rows(a_prime)
+        d2 = em.from_rows(d2)
         if em.shape(a_prime) != (q, l) or len(d2) != q or any(len(row) != q for row in d2):
             raise ValueError("block shapes do not match the parameters")
-        if any(a_prime[i][j] != 0 for i in range(self.r - l, q) for j in range(l)):
+        if any(a_prime[i][j] != 0 for i in range(r - l, q) for j in range(l)):
             raise ValueError("bottom rows of the first band must vanish")
         # J D2 symmetric, entrywise: (J D2)[i][j] = d2[q-1-i][j]
         if any(d2[q - 1 - i][j] != d2[q - 1 - j][i] for i in range(q) for j in range(i)):
             raise ValueError("J D2 must be symmetric")
-        object.__setattr__(self, "a_prime", _freeze(a_prime))
-        object.__setattr__(self, "d2", _freeze(d2))
+        return super().__new__(cls, n, k, r, _freeze(a_prime), _freeze(d2))
 
     @property
     def e_prime(self) -> em.Matrix:
@@ -470,8 +471,7 @@ def product_identification_inverse(n: int, k: int, r: int, sym, base) -> em.Matr
 # Desingularisation bookkeeping
 
 
-@dataclass(frozen=True)
-class DesingData:
+class DesingData(NamedTuple):
     n: int
     k: int
     r: int

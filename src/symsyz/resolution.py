@@ -7,8 +7,8 @@ offset 1 for the exterior powers of Sym^2 over the enlarged base."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 from .bott import bundle_cohomology
 from .geometry import DesingData, desing_data
@@ -27,15 +27,26 @@ class UnsupportedBundleError(ValueError):
     message starts with a machine-readable reason code."""
 
 
-@dataclass
 class BettiTable:
     """Multiplicities beta[i, d] of the free summand R(-d) in homological
     position i, with the Schur labels that produced each entry."""
 
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
-    provenance: dict[tuple[int, int], list[tuple[tuple[int, ...], int]]] = field(
-        default_factory=dict
-    )
+    __slots__ = ("entries", "provenance")
+    __hash__ = None  # mutable
+
+    def __init__(self, entries: dict | None = None, provenance: dict | None = None):
+        self.entries: dict[tuple[int, int], int] = {} if entries is None else entries
+        self.provenance: dict[tuple[int, int], list[tuple[tuple[int, ...], int]]] = (
+            {} if provenance is None else provenance
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.provenance) == (other.entries, other.provenance)
+
+    def __repr__(self) -> str:
+        return f"BettiTable(entries={self.entries!r}, provenance={self.provenance!r})"
 
     def add(self, i: int, degree: int, label: tuple[int, ...], dim: int) -> None:
         key = (i, degree)
@@ -195,8 +206,7 @@ def k_polynomial(table: BettiTable) -> list[int]:
     return coeffs
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     divisible: bool
     degree: int | None
 
@@ -290,8 +300,7 @@ def enlarged_space_table(n: int, k: int, r: int, max_t: int | None = None) -> Be
 # Orchestration
 
 
-@dataclass
-class ResolveReport:
+class ResolveReport(NamedTuple):
     n: int
     k: int
     r: int
@@ -327,13 +336,10 @@ def resolve(n: int, k: int, r: int, max_t: int | None = None) -> ResolveReport:
     table = jpw_closed_form(n, k, max_t)
     if not table.is_resolution_shape():
         raise RationalSingularityViolation("closed-form table has spurious generators")
-    report = ResolveReport(
-        n=n, k=k, r=r, table=table, data=data,
-        consistency=consistency_check(table, data.codim),
-        enlarged=None, enlarged_contains_closed_form=None,
+    consistency = consistency_check(table, data.codim)
+    enlarged = enlarged_space_table(n, k, r, max_t) if k % 2 == 0 else None
+    return ResolveReport(
+        n=n, k=k, r=r, table=table, data=data, consistency=consistency,
+        enlarged=enlarged,
+        enlarged_contains_closed_form=None if enlarged is None else enlarged.contains(table),
     )
-    if k % 2 == 0:
-        enlarged = enlarged_space_table(n, k, r, max_t)
-        report.enlarged = enlarged
-        report.enlarged_contains_closed_form = enlarged.contains(table)
-    return report

@@ -5,7 +5,7 @@ fixed seed."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import exactmat as em
 from .bott import QDominantWeight, bott
@@ -45,8 +45,7 @@ from .weyl import (
 )
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -9,8 +9,7 @@ full word materialised on demand.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class PermutationWordError(RuntimeError):
@@ -108,17 +107,20 @@ def bruhat_leq(u: Sequence[int], v: Sequence[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ParabolicMarker:
-    """Ascending set of omitted simple-root indices of a parabolic subgroup."""
-
+class _Marker(NamedTuple):
     omitted: tuple[int, ...]
 
-    def __post_init__(self):
-        omitted = tuple(sorted(set(int(i) for i in self.omitted)))
-        object.__setattr__(self, "omitted", omitted)
+
+class ParabolicMarker(_Marker):
+    """Ascending set of omitted simple-root indices of a parabolic subgroup."""
+
+    __slots__ = ()
+
+    def __new__(cls, omitted):
+        omitted = tuple(sorted(set(int(i) for i in omitted)))
         if omitted and omitted[0] < 1:
             raise ValueError("simple-root indices start at 1")
+        return super().__new__(cls, omitted)
 
     def check_range(self, rank: int) -> None:
         if any(i > rank for i in self.omitted):
@@ -145,22 +147,27 @@ def primed(i: int, n: int) -> int:
     return 2 * n + 1 - i
 
 
-@dataclass(frozen=True)
-class WeylElementC:
-    """Element of the type-C Weyl group, stored as the half word a_1..a_n."""
-
+class _HalfWord(NamedTuple):
     n: int
     half_word: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "half_word", tuple(int(a) for a in self.half_word))
-        n, half = self.n, self.half_word
+
+class WeylElementC(_HalfWord):
+    """Element of the type-C Weyl group, stored as the half word a_1..a_n.
+    The constructor checks that the half word extends to a mirror-symmetric
+    permutation."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, half_word):
+        half = tuple(int(a) for a in half_word)
         if len(half) != n:
             raise ValueError(f"half word must have length {n}")
         if len(set(half)) != n or not all(1 <= a <= 2 * n for a in half):
             raise ValueError(f"half word entries must be distinct in 1..{2 * n}")
         if any(primed(a, n) in set(half) for a in half):
             raise ValueError("half word may not contain both v and its mirror")
+        return super().__new__(cls, n, half)
 
     def full_word(self) -> tuple[int, ...]:
         """The symmetric 2n-letter one-line word with a_i = 2n+1-a_{2n+1-i}."""

@@ -5,8 +5,9 @@ touching the library's own code paths: breadth-first reduced words,
 explicit tableau enumeration, the hook-content formula, two formulations
 of Bott's sorting algorithm (the rho-shift sort `bott_by_rho`, and the
 exchange loop `bott_by_exchange`, which swaps one adjacent ascent at a
-time), Gaussian elimination over Q that rescans every reduced row, and a
-mod-p Koszul-homology computation of graded Betti numbers.
+time), Gaussian elimination over Q that rescans every reduced row,
+Gauss-Jordan inversion in Fraction arithmetic, and a mod-p
+Koszul-homology computation of graded Betti numbers.
 """
 
 from __future__ import annotations
@@ -240,6 +241,26 @@ def span_rank_by_scan(polys: list[dict]) -> tuple[int, list[int]]:
             reduced.append(p)
             kept.append(index)
     return len(reduced), kept
+
+
+def fraction_inverse(m: list[list]) -> list[list[Fraction]]:
+    """Gauss-Jordan inverse in Fraction arithmetic, every entry a Fraction;
+    raises ValueError on singular input."""
+    n = len(m)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        work[col], work[pivot] = work[pivot], work[col]
+        inv_p = 1 / work[col][col]
+        work[col] = [x * inv_p for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    return [row[n:] for row in work]
 
 
 def _perm_sign(perm) -> int:

@@ -107,6 +107,8 @@ def test_enlarged_summands_match_exchange_oracle(monkeypatch):
     assert len(weights) == sum(2 ** (n - k // 2) for n in range(3, 13) for k in range(2, n, 2))
     for w in weights:
         assert_agrees(bott(w), bott_by_exchange(w.entries, w.m))
+        # built without the constructor's check, yet one it accepts unchanged
+        assert type(w) is QDominantWeight and QDominantWeight(w.n, w.m, w.entries) == w
 
 
 @settings(max_examples=200)

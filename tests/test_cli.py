@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from symsyz import geometry, partitions, resolution, verify, weyl
+from symsyz import cli, exactmat, geometry, partitions, resolution, verify, weyl
 from symsyz.cli import MAX_SCHUBERT_N, MAX_WALK_LOG2, main, walk_log2
 
 from test_perfbench_contract import _load_checks
@@ -91,6 +91,20 @@ def test_bott_command(capsys):
 def test_bott_rejects_non_dominant(capsys):
     code, _, err = run(capsys, "bott", "--n", "3", "--m", "1", "--weight", "0,1,2")
     assert code == 2 and err.startswith("error:invalid-weight:")
+
+
+@pytest.mark.parametrize("n, m, weight, message", [
+    (3, 1, "0,1,2", "weight (0, 1, 2) is not dominant for cut 1"),
+    (3, 3, "3,2,1", "cut position 3 invalid for n=3"),
+    (3, 0, "1,0,0", "cut position 0 invalid for n=3"),
+    (1, 1, "0", "cut position 1 invalid for n=1"),
+    (3, 1, "1,0", "weight must have 3 entries"),
+    (3, 1, "a,b", "invalid literal for int() with base 10: 'a'"),
+    (2, 1, "1,,0", "invalid literal for int() with base 10: ''"),
+])
+def test_bott_invalid_weights_exit_2(capsys, n, m, weight, message):
+    code, out, err = run(capsys, "bott", "--n", str(n), "--m", str(m), "--weight", weight)
+    assert (code, out, err) == (2, "", f"error:invalid-weight: {message}\n")
 
 
 def test_schubert_command(capsys):
@@ -323,6 +337,27 @@ def test_schubert_integrity_failure_exits_3(capsys, monkeypatch):
                              "--format", fmt)
         assert code == 3 and out == ""
         assert err.startswith("error:permutation-word:") and err.count("\n") == 1
+
+
+def test_schubert_internal_value_error_exits_3(capsys, monkeypatch):
+    # only the boundary checks are usage errors; a ValueError after them is
+    # an internal fault
+    def broken(n, k, r):
+        raise ValueError(f"not a permutation of 1..{2 * n}: {(n, k, r)}")
+
+    monkeypatch.setattr(cli, "w_max_rep", broken)
+    code, out, err = run(capsys, "schubert", "--n", "4", "--k", "1", "--r", "3")
+    assert code == 3 and out == ""
+    assert err.startswith("error:internal-value-error:") and err.count("\n") == 1
+
+
+def test_verify_inexact_elimination_exits_3(capsys, monkeypatch):
+    # a remainder in a Bareiss step of the inverse is an integrity failure,
+    # not a singular draw that random_symplectic would quietly redraw
+    monkeypatch.setattr(exactmat, "divmod", lambda a, b: (a // b, a % b + 1), raising=False)
+    code, out, err = run(capsys, "verify", "--fast", "--suites", "factorization")
+    assert code == 3 and out == ""
+    assert err.startswith("error:inexact-elimination:") and err.count("\n") == 1
 
 
 def test_resolve_zero_division_is_not_a_dimension_failure(capsys, monkeypatch):

@@ -9,6 +9,8 @@ import pytest
 
 from symsyz import exactmat as em
 
+from oracles import fraction_inverse
+
 
 def _random_matrix(rng, rows, cols, rational):
     if rational:
@@ -66,21 +68,48 @@ def test_det_bareiss_against_leibniz(rational):
 @pytest.mark.parametrize("rational", [False, True])
 def test_inverse_against_fraction_arithmetic(rational):
     rng = random.Random(f"inv:{rational}")
-    checked = 0
-    for _ in range(200):
-        n = rng.randint(1, 5)
+    checked = singular = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
         m = _random_matrix(rng, n, n, rational)
-        if _naive_det(m) == 0:
+        if rng.random() < 0.15:  # a repeated row makes it singular
+            m[-1] = list(m[0])
+        if rng.random() < 0.3:  # a zero pivot forces a row swap
+            m[0][0] = 0
+        before = [list(row) for row in m]
+        try:
+            expected = fraction_inverse(m)
+        except ValueError:  # singular
             with pytest.raises(ValueError):
                 em.inverse(m)
+            singular += 1
             continue
         inv = em.inverse(m)
+        assert m == before  # the elimination works on a copy
+        assert inv == expected
+        # integral entries are plain ints, the rest Fractions
+        assert all(type(x) is (int if x.denominator == 1 else Fraction)
+                   for row in inv for x in row)
         assert _naive_mul(m, inv) == em.identity(n)
-        assert _naive_mul(inv, m) == em.identity(n)
         checked += 1
-    assert checked > 150
+    assert checked > 250 and singular > 20
     with pytest.raises(ValueError):
         em.inverse([[1, 2], [2, 4]])
+    assert em.inverse([]) == []
+    unimodular = [[2, 3], [1, 2]]
+    assert em.inverse(unimodular) == [[2, -3], [-1, 2]]
+    assert all(type(x) is int for row in em.inverse(unimodular) for x in row)
+
+
+def test_inverse_raises_on_an_inexact_step(monkeypatch):
+    # every Bareiss step divides exactly; a remainder is an arithmetic fault,
+    # and must not read as ValueError, which callers take for "singular"
+    assert issubclass(em.InexactElimination, ArithmeticError)
+    assert not issubclass(em.InexactElimination, ValueError)
+
+    monkeypatch.setattr(em, "divmod", lambda a, b: (a // b, a % b + 1), raising=False)
+    with pytest.raises(em.InexactElimination):
+        em.inverse([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
 
 
 def test_integer_inputs_stay_int():

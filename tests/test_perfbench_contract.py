@@ -11,12 +11,16 @@ checker, loaded from perfbench/checks.py by path, reads them here.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 from symsyz.cli import main
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 TRACE_CHILD = PERFBENCH / "trace_child.py"
 
 
@@ -38,6 +42,19 @@ def test_traced_names_are_bound():
         namespace = vars(importlib.import_module(f"symsyz.{module}"))
         missing = [name for name in names if not callable(namespace.get(name))]
         assert not missing, f"symsyz.{module} lacks {missing}"
+
+
+def test_cli_import_loads_every_traced_module():
+    # install() looks each WRAPPED module up in sys.modules right after
+    # `import symsyz.cli`, so that import alone must load all of them
+    modules = [f"symsyz.{module}" for module in _wrapped_table()]
+    script = ("import sys, symsyz.cli; names = sys.argv[1:];"
+              " print(' '.join(name for name in names if name not in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", script, *modules],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [], f"not loaded by import symsyz.cli: {done.stdout}"
 
 
 def test_enumerate_Q_keeps_its_cache():
