@@ -43,8 +43,11 @@ def is_symplectic(m: em.Matrix) -> bool:
     rows, cols = em.shape(m)
     if rows != cols or rows % 2:
         raise ValueError("need a square matrix of even size")
-    f = symplectic_form(rows // 2)
-    return em.mat_eq(em.mat_mul(em.transpose(m), em.mat_mul(f, m)), f)
+    n = rows // 2
+    # F = [[0, J], [-J, 0]] permutes and signs rows: F Z is Z's rows in
+    # reverse order with the last n of them negated
+    fz = m[:n - 1:-1] + [[-x for x in row] for row in m[n - 1::-1]]
+    return em.mat_eq(em.mat_mul(em.transpose(m), fz), symplectic_form(n))
 
 
 class NotInOppositeCellError(ValueError):

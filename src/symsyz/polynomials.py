@@ -2,12 +2,14 @@
 only if a caller supplies ``Fraction``s.
 
 A monomial is a sorted tuple of (variable, exponent) pairs; variables are
-arbitrary hashable keys. Just enough arithmetic for minors of symbolic
-matrices and for rank computations on spans of polynomials.
+hashable keys with distinct reprs, sorted by repr. Just enough arithmetic for
+minors of symbolic matrices and for rank computations on spans of
+polynomials.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -57,11 +59,31 @@ class Poly:
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
+        for a, b in ((self, other), (other, self)):
+            if len(b.terms) == 1:
+                ((m, c),) = b.terms.items()
+                if len(m) == 1 and m[0][1] == 1:
+                    return a._times_variable(m[0][0], c)
         out: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mul_monomials(m1, m2)
                 out[m] = out.get(m, 0) + c1 * c2
+        return Poly(out)
+
+    def _times_variable(self, v, c) -> "Poly":
+        """self * c*v: v goes into each monomial at its place in the
+        variable order, or raises its exponent there, so no two monomials
+        merge and the terms are those of the general product."""
+        key = _variable_order((v, 1))
+        out: dict[Monomial, int] = {}
+        for m, c1 in self.terms.items():
+            i = bisect_left(m, key, key=_variable_order)
+            if i < len(m) and m[i][0] == v:
+                m = m[:i] + ((v, m[i][1] + 1),) + m[i + 1:]
+            else:
+                m = m[:i] + ((v, 1),) + m[i:]
+            out[m] = c1 * c
         return Poly(out)
 
     def degree(self) -> int:
@@ -110,23 +132,32 @@ def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
 def poly_det(rows: list[list[Poly]]) -> Poly:
     """Determinant of a square matrix of polynomials by memoized Laplace
     expansion along the rows: an s-by-s matrix costs 2^s sub-determinants,
-    one per set of remaining columns (the row is implied by its size)."""
+    one per set of remaining columns."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    memo = {(): Poly.const(1)}
+    return _laplace(rows, tuple(range(n)), tuple(range(n)), {})
 
-    def expand(cols: tuple[int, ...]) -> Poly:
-        if cols not in memo:
-            row, total = rows[n - len(cols)], Poly.zero()
-            for pos, col in enumerate(cols):
-                if row[col]:
-                    term = row[col] * expand(cols[:pos] + cols[pos + 1:])
-                    total = total + term if pos % 2 == 0 else total - term
-            memo[cols] = total
-        return memo[cols]
 
-    return expand(tuple(range(n)))
+def _laplace(matrix: list[list[Poly]], rows: tuple, cols: tuple, memo: dict,
+             symmetric: bool = False) -> Poly:
+    """The minor of `matrix` on `rows` by `cols`, expanded along its first
+    row. `memo` maps (rows, cols) to the minors already found, so a caller
+    that shares one memo across many minors expands each sub-minor once. For
+    a symmetric matrix minor(R, C) = minor(C, R), and the key is folded to
+    rows <= cols."""
+    key = (cols, rows) if symmetric and cols < rows else (rows, cols)
+    if key not in memo:
+        total: dict[Monomial, int] = {}  # one accumulator, not a new Poly per term
+        for pos, col in enumerate(cols):
+            factor = matrix[rows[0]][col]
+            if factor:
+                sign = -1 if pos % 2 else 1
+                for m, c in (factor * _laplace(matrix, rows[1:], cols[:pos] + cols[pos + 1:],
+                                               memo, symmetric)).terms.items():
+                    total[m] = total.get(m, 0) + sign * c
+        memo[key] = Poly(total) if rows else Poly.const(1)
+    return memo[key]
 
 
 def span_rank_and_basis(polys: list[Poly]) -> tuple[int, list[Poly]]:

@@ -13,7 +13,7 @@ from typing import NamedTuple
 from .bott import bundle_cohomology
 from .geometry import DesingData, desing_data
 from .partitions import NonIntegralDimension, _rows_from_hooks, hook_family, weyl_dim
-from .polynomials import Poly, poly_det, span_rank_and_basis
+from .polynomials import Poly, _laplace, span_rank_and_basis
 from .weyl import InvalidParameters, check_parameters
 
 
@@ -244,14 +244,14 @@ def minor_generators(n: int, k: int) -> list[Poly]:
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got {(n, k)}")
-    subsets = list(itertools.combinations(range(1, n + 1), k + 1))
+    matrix = [[generic_symmetric_entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    subsets = list(itertools.combinations(range(n), k + 1))
+    memo: dict = {}  # shared by all minors: each sub-minor is expanded once
     seen = set()
     minors = []
     for start, rows in enumerate(subsets):
         for cols in subsets[start:]:  # minor(R, C) = minor(C, R): expand R <= C only
-            det = poly_det(
-                [[generic_symmetric_entry(i, j) for j in cols] for i in rows]
-            ).sign_canonical()
+            det = _laplace(matrix, rows, cols, memo, symmetric=True).sign_canonical()
             if det and det not in seen:
                 seen.add(det)
                 minors.append(det)

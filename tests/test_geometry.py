@@ -69,6 +69,22 @@ def test_generic_matrix_is_not_symplectic():
     assert hits == 0
 
 
+def test_is_symplectic_against_the_product_by_the_form():
+    """The row-reversal form of F Z against the product Z^T (F Z) itself,
+    on symplectic matrices and on copies with one entry moved."""
+    rng = random.Random("is_symplectic")
+    for n in range(1, 6):
+        f = symplectic_form(n)
+        for _ in range(12):
+            z = random_symplectic(n, rng)
+            perturbed = em.from_rows(z)
+            perturbed[rng.randrange(2 * n)][rng.randrange(2 * n)] += rng.choice((1, -1, Fraction(1, 2)))
+            for m in (z, perturbed):
+                expected = em.mat_eq(em.mat_mul(em.transpose(m), em.mat_mul(f, m)), f)
+                assert is_symplectic(m) == expected
+            assert is_symplectic(z)
+
+
 def test_factorization_identity_and_errors():
     rng = random.Random(7)
     for _ in range(25):

@@ -1,6 +1,8 @@
 """Differential tests of the polynomial layer: the memoized determinant
-against the permutation sum, the echelon span rank against a rescanning
-elimination over Q, and the minor generators against the oracle minors."""
+against the permutation sum, the product by one variable against the general
+product, the echelon span rank against a rescanning elimination over Q, and
+the minor generators against the oracle minors and against one determinant
+per minor."""
 
 import itertools
 import random
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from symsyz.polynomials import Poly, poly_det, span_rank_and_basis
-from symsyz.resolution import minor_generators
+from symsyz.resolution import generic_symmetric_entry, minor_generators
 
 from oracles import PRIME, _perm_sign, _rref_mod_p, span_rank_by_scan, symmetric_minor_polys
 
@@ -87,6 +89,41 @@ def test_poly_coefficients_stay_integers():
     assert half.terms == {(("x", 1),): Fraction(1, 2)} and repr(half) == "1/2*x"
 
 
+def general_product(a: Poly, b: Poly) -> dict:
+    """The product's terms by the textbook double loop: exponents added,
+    variables sorted by repr, coefficients summed, zeros dropped."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            m = tuple(sorted(exps.items(), key=lambda pair: repr(pair[0])))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_single_variable_product_against_general_product(rational):
+    """Products by c*v, with v first ("a"), in the middle ("c"), last ("e")
+    or already present ("b", "d"), in both operand orders."""
+    rng = random.Random(f"times_variable:{rational}")
+    for _ in range(40):
+        p = Poly.zero()
+        for _ in range(rng.randint(0, 4)):
+            term = Poly.const(random_coefficient(rng, rational))
+            for _ in range(rng.randint(0, 3)):
+                term = term * Poly.var(rng.choice(("b", "d")))
+            p = p + term
+        for v in ("a", "b", "c", "d", "e"):
+            factor = Poly({((v, 1),): random_coefficient(rng, rational) or 1})
+            for left, right in ((p, factor), (factor, p)):
+                product = left * right
+                assert list(product.terms.items()) == list(general_product(left, right).items())
+                if not rational:
+                    assert all(type(c) is int for c in product.terms.values())
+
+
 def planted_span(rng: random.Random, count: int) -> list[Poly]:
     """Random polynomials, about a third of them rational combinations of
     earlier ones, with rational coefficients throughout."""
@@ -142,6 +179,42 @@ def test_minor_generators_are_independent_oracle_minors(n, k):
             mat[row, position[m]] = c
     _, pivots = _rref_mod_p(mat, PRIME)
     assert len(pivots) == len(gens)
+
+
+def minor_generators_one_det_per_minor(n: int, k: int) -> list[Poly]:
+    """The minor generators with a separate `poly_det` for every minor."""
+    subsets = list(itertools.combinations(range(1, n + 1), k + 1))
+    seen, minors = set(), []
+    for start, rows in enumerate(subsets):
+        for cols in subsets[start:]:
+            det = poly_det([[generic_symmetric_entry(i, j) for j in cols] for i in rows]).sign_canonical()
+            if det and det not in seen:
+                seen.add(det)
+                minors.append(det)
+    return span_rank_and_basis(minors)[1]
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(1, n)] + [(7, 2)])
+def test_minor_generators_match_one_det_per_minor(n, k):
+    # equal term dicts; their insertion order may differ, which nothing reads
+    expected = minor_generators_one_det_per_minor(n, k)
+    assert [g.terms for g in minor_generators(n, k)] == [g.terms for g in expected]
+
+
+def test_minor_generators_expand_each_sub_minor_once(monkeypatch):
+    """At (7, 3) the 4,130 products are one per entry of each distinct
+    sub-minor up to transpose; separate determinants make 20,160."""
+    products = 0
+    general = Poly.__mul__
+
+    def counting(a, b):
+        nonlocal products
+        products += 1
+        return general(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    minor_generators(7, 3)
+    assert products <= 4130
 
 
 def test_evaluate_keeps_integer_values_int():
