@@ -29,6 +29,7 @@ from .partitions import (
 )
 from .resolution import (
     BettiTable,
+    EnlargedTableMismatch,
     RationalSingularityViolation,
     UnsupportedBundleError,
     assemble,

@@ -27,8 +27,8 @@ class QDominantWeight(_Weight):
     """Integer n-tuple weakly decreasing on positions 1..m and m+1..n.
 
     The constructor checks the cut and the two blocks. `_make` builds the
-    record without those checks; only `bundle_cohomology` uses it, for
-    weights that are valid by construction.
+    record without those checks, for weights that are valid by construction
+    (`bundle_cohomology` and the enlarged-base check in `resolution`).
     """
 
     __slots__ = ()

@@ -15,11 +15,7 @@ from .bott import QDominantWeight, bott
 from .exactmat import InexactElimination
 from .geometry import PluckerMismatch, SliceEscape, desing_data, opposite_cell_pattern
 from .partitions import NonIntegralDimension
-from .resolution import (
-    RationalSingularityViolation,
-    k_polynomial,
-    resolve,
-)
+from .resolution import EnlargedTableMismatch, RationalSingularityViolation, k_polynomial, resolve
 from .verify import DEFAULT_SUITES, run_suites
 from .weyl import (
     InvalidParameters,
@@ -49,6 +45,7 @@ INTEGRITY_CODES = {
     SliceEscape: "slice-escape",
     PermutationWordError: "permutation-word",
     InexactElimination: "inexact-elimination",
+    EnlargedTableMismatch: "enlarged-table-mismatch",
     ValueError: "internal-value-error",  # last: any other ValueError past the boundary checks
 }
 
@@ -67,14 +64,8 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def walk_log2(n: int, k: int) -> int:
-    """log2 of the leg tuples in the larger walk of `resolve` at r = n: 2^(n-k+1)
-    for the closed form, and 2^(n-k/2) over the enlarged base when k is even."""
-    return n - k // 2 if k % 2 == 0 else n - k + 1
-
-
 def cmd_resolve(args) -> int:
-    if 1 <= args.k < args.r == args.n and (bits := walk_log2(args.n, args.k)) > MAX_WALK_LOG2:
+    if 1 <= args.k < args.r == args.n and (bits := args.n - args.k + 1) > MAX_WALK_LOG2:
         return _fail("too-large", f"(n, k) = ({args.n}, {args.k}) walks 2^{bits} leg tuples,"
                      f" more than 2^{MAX_WALK_LOG2}", USAGE_EXIT)
     try:

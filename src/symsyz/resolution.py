@@ -1,8 +1,8 @@
-"""Assembly of graded Betti tables: the cohomology-driven construction over
-a Grassmannian base, and the closed form for the symmetric determinantal
-case, with exact consistency functionals. Both run over one hook family
-(:func:`~symsyz.partitions.hook_family`): offset k - 1 for the closed form,
-offset 1 for the exterior powers of Sym^2 over the enlarged base."""
+"""Assembly of graded Betti tables: the closed form for the symmetric
+determinantal case and the Bott-checked table over the enlarged base, with
+exact consistency functionals. Both come from one walk of one hook family
+(:func:`~symsyz.partitions.hook_family`, offset k - 1): the closed form keeps
+its even ranks, the enlarged base keeps every rank."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import itertools
 from math import comb
 from typing import NamedTuple
 
-from .bott import bundle_cohomology
+from .bott import QDominantWeight, bott
 from .geometry import DesingData, desing_data
 from .partitions import NonIntegralDimension, _rows_from_hooks, hook_family, weyl_dim
 from .polynomials import Poly, _laplace, span_rank_and_basis
@@ -20,6 +20,11 @@ from .weyl import InvalidParameters, check_parameters
 class RationalSingularityViolation(RuntimeError):
     """A cohomology class landed in negative homological degree; with the
     rational-singularities guarantee this can only mean an upstream bug."""
+
+
+class EnlargedTableMismatch(RuntimeError):
+    """The enlarged-base table disagrees with Bott's theorem on a member of
+    the walk, or its odd-rank part does not read as a resolution."""
 
 
 class UnsupportedBundleError(ValueError):
@@ -129,9 +134,38 @@ def _one_hook_factor(n: int, k: int, b: int) -> int:
     return (n + b) * comb(n + b - 1, b) * comb(n - 1, b + k - 1)
 
 
+def _closed_form_walk(n: int, k: int, max_t: int | None):
+    """The zero partition, then the members of `hook_family(k - 1, n - k)` in
+    degrees t <= max_t, as (legs, rank s, t, GL_n dimension of the conjugate;
+    see jpw_closed_form). Skipping a member skips its children (larger t)."""
+    factors = [_one_hook_factor(n, k, b) for b in range(n - k + 1)]
+    # dimensions of the members of the current rank and of the rank below
+    rank, parents, dims = 0, {}, {(): 1}
+    for legs, s, size in hook_family(k - 1, n - k):
+        t = size // 2
+        if s and max_t is not None and t > max_t:
+            continue
+        if s != rank:
+            rank, parents, dims = s, dims, {}
+        if s:
+            b, head = legs[-1], legs[:-1]
+            num, den = factors[b], 2 * b + k
+            for c in head:
+                num *= (c - b) ** 2
+                den *= (b + c + k) ** 2
+            dim, rest = divmod(parents[head] * num, den)
+            if rest:
+                raise NonIntegralDimension(
+                    f"closed-form dimension of legs {legs} at {(n, k)} is not an integer:"
+                    f" {parents[head]} * {num}/{den}"
+                )
+            dims[legs] = dim
+        yield legs, s, t, dims[legs]
+
+
 def jpw_closed_form(n: int, k: int, max_t: int | None = None) -> BettiTable:
     """Closed-form Betti table of the locus of symmetric n-by-n matrices of
-    rank at most k: position i >= 1 collects, over even-rank hook partitions
+    rank at most k: position i collects, over even-rank hook partitions
     lambda of 2t with arm = leg + (k-1) and i = t - k rank/2, the Schur
     dimensions of the conjugates; internal degree is t. The partitions have
     at most n columns, so their legs are at most n - k. A conjugate is built
@@ -145,8 +179,7 @@ def jpw_closed_form(n: int, k: int, max_t: int | None = None) -> BettiTable:
     so each member multiplies its parent's dimension by one such ratio.
 
     `max_t` filters the table to internal degrees t <= max_t; the generator
-    in degree 0 is always kept. A member above max_t is skipped, and so are
-    its children, whose degrees are larger.
+    in degree 0 is always kept.
 
     >>> jpw_closed_form(2, 1).entries
     {(0, 0): 1, (1, 2): 1}
@@ -156,28 +189,7 @@ def jpw_closed_form(n: int, k: int, max_t: int | None = None) -> BettiTable:
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got {(n, k)}")
     table = BettiTable()
-    table.add(0, 0, (), 1)
-    factors = [_one_hook_factor(n, k, b) for b in range(n - k + 1)]
-    # dimensions of the members of the current rank and of the rank below
-    rank, parents, dims = 0, {}, {(): 1}
-    for legs, s, size in hook_family(k - 1, n - k):
-        t = size // 2
-        if s == 0 or (max_t is not None and t > max_t):
-            continue
-        if s != rank:
-            rank, parents, dims = s, dims, {}
-        b, head = legs[-1], legs[:-1]
-        num, den = factors[b], 2 * b + k
-        for c in head:
-            num *= (c - b) ** 2
-            den *= (b + c + k) ** 2
-        dim, rest = divmod(parents[head] * num, den)
-        if rest:
-            raise NonIntegralDimension(
-                f"closed-form dimension of legs {legs} at {(n, k)} is not an integer:"
-                f" {parents[head]} * {num}/{den}"
-            )
-        dims[legs] = dim
+    for legs, s, t, dim in _closed_form_walk(n, k, max_t):
         if s % 2 == 0:
             table.add(t - k * s // 2, t, _rows_from_hooks(legs, [b + k - 1 for b in legs]), dim)
     return table
@@ -264,17 +276,17 @@ def minor_generators(n: int, k: int) -> list[Poly]:
 
 
 def enlarged_space_table(n: int, k: int, r: int, max_t: int | None = None) -> BettiTable:
-    """Betti table of the direct image over the enlarged space: the
-    cohomology oracle is Bott's algorithm on the exterior powers of the
-    completely reducible bundle. Contains the closed-form table of the
-    determinantal locus as a sub-table.
+    """Betti table of the direct image over the enlarged space, which
+    contains the closed-form table of the determinantal locus.
 
     The bundle is Sym^2 of the dual tautological quotient, of rank m = n - k/2,
     on the Grassmannian of k/2-planes in n-space; it exists exactly when
     r = n and k is even, and other parameters raise UnsupportedBundleError,
-    never a wrong answer. Its t-th exterior power has the offset-1 hook
-    partitions of 2t with legs below m as its summands, so t runs up to
-    m(m+1)/2; one walk of that family groups them all by t."""
+    never a wrong answer. Its exterior powers have the offset-1 hook
+    partitions with legs b_i < m as summands; Bott's theorem kills those with
+    a leg b_i <= k/2 - 2 and puts the rest in degree s k/2 with the
+    closed-form label of the legs b_i - (k/2 - 1). So the table is the
+    closed-form walk kept at every rank s, and `bott` checks each member."""
     check_parameters(n, k, r)
     if r < n:
         raise UnsupportedBundleError(
@@ -286,14 +298,16 @@ def enlarged_space_table(n: int, k: int, r: int, max_t: int | None = None) -> Be
         raise UnsupportedBundleError(
             f"odd-rank-bound: k={k} is odd: the enlarged-space model needs k = 2u"
         )
-    m = n - k // 2
-    top = m * (m + 1) // 2
-    cap = top if max_t is None else min(max_t, top)
-    labels: dict[int, list] = {}
-    for legs, _, size in hook_family(1, m - 1):
-        if size // 2 <= cap:
-            labels.setdefault(size // 2, []).append(_rows_from_hooks([b + 1 for b in legs], legs))
-    return assemble({t: bundle_cohomology(mus, n, m) for t, mus in labels.items()}, cap)
+    u, zeros = k // 2, (0,) * n
+    table = BettiTable()
+    for legs, s, t, dim in _closed_form_walk(n, k, max_t):
+        label = (_rows_from_hooks(legs, [c + k - 1 for c in legs]) + zeros)[:n]
+        mu = (_rows_from_hooks([c + u for c in legs], [c + u - 1 for c in legs]) + zeros)[:n]
+        if (answer := bott(QDominantWeight._make((n, n - u, mu)))) != (False, s * u, label):
+            raise EnlargedTableMismatch(f"bott gives {answer} for the summand {mu} at"
+                                        f" {(n, k)}, not degree {s * u} with label {label}")
+        table.add(t - s * u, t, label, dim)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +352,14 @@ def resolve(n: int, k: int, r: int, max_t: int | None = None) -> ResolveReport:
         raise RationalSingularityViolation("closed-form table has spurious generators")
     consistency = consistency_check(table, data.codim)
     enlarged = enlarged_space_table(n, k, r, max_t) if k % 2 == 0 else None
+    if enlarged is not None and max_t is None and consistency.divisible:
+        # the odd ranks resolve a rank-one Cohen-Macaulay module on the locus
+        # (its class group is Z/2): length codim and the locus's degree
+        odd = BettiTable({key: rest for key, mult in enlarged.entries.items()
+                          if (rest := mult - table.entries.get(key, 0))})
+        if (consistency_check(odd, data.codim) != (True, consistency.degree)
+                or odd.length() != data.codim or any(i < 0 for i, _ in odd.entries)):
+            raise EnlargedTableMismatch(f"the odd-rank part at {(n, k)} is not a resolution")
     return ResolveReport(
         n=n, k=k, r=r, table=table, data=data, consistency=consistency,
         enlarged=enlarged,

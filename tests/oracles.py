@@ -5,7 +5,8 @@ touching the library's own code paths: breadth-first reduced words,
 explicit tableau enumeration, the hook-content formula, two formulations
 of Bott's sorting algorithm (the rho-shift sort `bott_by_rho`, and the
 exchange loop `bott_by_exchange`, which swaps one adjacent ascent at a
-time), Gaussian elimination over Q that rescans every reduced row,
+time), the enlarged-base Betti table summand by summand through
+`bott_by_rho`, Gaussian elimination over Q that rescans every reduced row,
 Gauss-Jordan inversion in Fraction arithmetic, and a mod-p
 Koszul-homology computation of graded Betti numbers.
 """
@@ -167,6 +168,43 @@ def line_bundle_cohomology(d: int) -> dict[int, int]:
     if d == -1:
         return {}
     return {1: -d - 1}
+
+
+# -- the enlarged-base table, summand by summand ------------------------------
+
+def rows_from_frobenius(arms, legs) -> tuple[int, ...]:
+    """Rows of the partition with Frobenius coordinates (arms | legs): the
+    Durfee rows are a_i + i, and each row below counts the diagonal columns,
+    of lengths b_j + j, that reach it (i and j from 1)."""
+    s = len(arms)
+    columns = [b + j for j, b in enumerate(legs, start=1)]
+    below = [sum(1 for c in columns if c >= i) for i in range(s + 1, max(columns, default=0) + 1)]
+    return tuple(a + i for i, a in enumerate(arms, start=1)) + tuple(below)
+
+
+def enlarged_by_bott(n: int, k: int, max_t: int | None = None):
+    """Entries and provenance of the Betti table over the enlarged base, for
+    even k, the long way. The t-th exterior power of Sym^2 of the rank-m
+    quotient (m = n - k/2) has the partitions of 2t with arm = leg + 1 and
+    legs below m as its summands; each weight (mu, 0^(n-m)) with cut m goes
+    through `bott_by_rho`, vanishing ones included, and a class in degree j
+    adds the hook-content dimension of its label at (t - j, t)."""
+    m = n - k // 2
+    entries, provenance = {}, {}
+    for s in range(m + 1):
+        for legs in itertools.combinations(range(m - 1, -1, -1), s):
+            t = sum(legs) + s
+            if max_t is not None and t > max_t:
+                continue
+            mu = rows_from_frobenius([b + 1 for b in legs], legs)
+            found = bott_by_rho(mu + (0,) * (n - len(mu)), m)
+            if found is None:
+                continue
+            j, label = found
+            dim = hook_content_dim(tuple(x for x in label if x), n)
+            entries[(t - j, t)] = entries.get((t - j, t), 0) + dim
+            provenance.setdefault((t - j, t), []).append((label, dim))
+    return entries, provenance
 
 
 # -- mod-p graded Betti numbers via Koszul homology --------------------------

@@ -1,9 +1,9 @@
-import importlib
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symsyz import resolution
 from symsyz.bott import (
     QDominantWeight,
     bott,
@@ -95,16 +95,14 @@ def test_bott_matches_rho_oracle(w):
 
 
 def test_enlarged_summands_match_exchange_oracle(monkeypatch):
-    # every summand weight the enlarged base feeds to bott, for each even k
-    # with n <= 12 (the package's name `bott` is the function, so import the
-    # module itself)
-    module = importlib.import_module("symsyz.bott")
+    # every summand weight the enlarged base checks with bott, one per member
+    # of the closed-form walk, for each even k with n <= 12
     weights = []
-    monkeypatch.setattr(module, "bott", lambda w: weights.append(w) or bott(w))
+    monkeypatch.setattr(resolution, "bott", lambda w: weights.append(w) or bott(w))
     for n in range(3, 13):
         for k in range(2, n, 2):
             enlarged_space_table(n, k, n)
-    assert len(weights) == sum(2 ** (n - k // 2) for n in range(3, 13) for k in range(2, n, 2))
+    assert len(weights) == sum(2 ** (n - k + 1) for n in range(3, 13) for k in range(2, n, 2))
     for w in weights:
         assert_agrees(bott(w), bott_by_exchange(w.entries, w.m))
         # built without the constructor's check, yet one it accepts unchanged

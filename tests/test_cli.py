@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from symsyz import cli, exactmat, geometry, partitions, resolution, verify, weyl
-from symsyz.cli import MAX_SCHUBERT_N, MAX_WALK_LOG2, main, walk_log2
+from symsyz import cli, exactmat, geometry, resolution, verify, weyl
+from symsyz.bott import bott
+from symsyz.cli import MAX_SCHUBERT_N, MAX_WALK_LOG2, main
 
 from test_perfbench_contract import _load_checks
 
@@ -213,26 +214,54 @@ def test_schubert_refuses_oversized_n_up_front(capsys, n):
     assert err.startswith("error:too-large:") and err.count("\n") == 1
 
 
-def test_walk_size_boundary():
-    # the closed form walks 2^(n-k+1) leg tuples, the enlarged base 2^(n-k/2)
+def test_walk_size_boundary(capsys, monkeypatch):
+    # both r = n tables walk the 2^(n-k+1) leg tuples of one hook family, for
+    # every k; an accepted instance reaches `resolve`, stubbed out here
     assert MAX_WALK_LOG2 == 17
-    assert walk_log2(17, 1) == 17 < walk_log2(18, 1)
-    assert walk_log2(18, 2) == 17 < walk_log2(19, 2)
-    assert walk_log2(21, 8) == 17 < walk_log2(22, 8)
-    assert walk_log2(19, 3) == 17
-    # every instance the benchmark and the tests run has n - k <= 14
-    assert all(walk_log2(n, k) <= 17 for n in range(2, 16) for k in range(1, n))
+
+    class Reached(Exception):
+        pass
+
+    def stub(n, k, r, max_t=None):
+        reached.append((n, k))
+        raise Reached
+
+    reached = []
+    monkeypatch.setattr(cli, "resolve", stub)
+    for n, k in ((17, 1), (18, 2), (19, 3), (30, 14)):
+        with pytest.raises(Reached):
+            main(_resolve_argv(n, k))
+    assert reached == [(17, 1), (18, 2), (19, 3), (30, 14)]
+    for n, k in ((18, 1), (19, 2), (31, 14)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *_resolve_argv(n, k))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "", (n, k)
+        assert err == (f"error:too-large: (n, k) = ({n}, {k}) walks 2^{n - k + 1} leg tuples,"
+                       " more than 2^17\n")
+    assert reached == [(17, 1), (18, 2), (19, 3), (30, 14)]
+
+
+def test_resolve_accepts_large_n_with_a_short_walk(capsys):
+    # (30, 20) walks 2^11 leg tuples for both tables, in about 0.1 s
+    code, out, err = run(capsys, *_resolve_argv(30, 20))
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["divisible"] is True and payload["subresolution"] is True
+    assert payload["enlarged"][0] == {"i": 0, "degree": 0, "mult": 1, "schur": [[[0] * 30, 1]]}
 
 
 BREAKAGES = {
-    # a wrong Weyl denominator leaves a remainder in the exact quotient; of
-    # resolve only the enlarged base (even k) still divides by it
-    "non-integral-dimension": ("non-integral-dimension", (4, 2), partitions,
-                               "_weyl_denominator", lambda n: 10**9 + 7),
-    # a wrong one-hook factor leaves a remainder in the closed form's
-    # parent-to-member ratio; odd k runs no enlarged base
+    # a wrong one-hook factor leaves a remainder in the parent-to-member
+    # ratio of the walk that both tables share (even k), or that the closed
+    # form walks alone (odd k)
+    "non-integral-dimension": ("non-integral-dimension", (4, 2), resolution,
+                               "_one_hook_factor", lambda n, k, b: 10**9 + 7),
     "non-integral-dimension-closed-form": ("non-integral-dimension", (5, 1), resolution,
                                            "_one_hook_factor", lambda n, k, b: 10**9 + 7),
+    # a Bott answer one degree off disagrees with the walk's member
+    "enlarged-table-mismatch": ("enlarged-table-mismatch", (4, 2), resolution, "bott",
+                                lambda w: bott(w)._replace(degree=bott(w).degree + 1)),
     # a closed-form table with a stray generator breaks the resolution shape
     "rational-singularity-violation": ("rational-singularity-violation", (4, 2),
                                        resolution.BettiTable, "is_resolution_shape",
@@ -256,10 +285,10 @@ def test_resolve_integrity_failures_exit_3(capsys, monkeypatch, case):
 def test_resolve_internal_value_error_exits_3(capsys, monkeypatch):
     # only the boundary checks are usage errors; a ValueError from deeper in
     # the pipeline is an internal fault
-    def broken(labels, n, m):
-        raise ValueError(f"label {labels[0]} too long for cut {m}")
+    def broken(w):
+        raise ValueError(f"cut position {w.m} invalid for n={w.n}")
 
-    monkeypatch.setattr(resolution, "bundle_cohomology", broken)
+    monkeypatch.setattr(resolution, "bott", broken)
     code, out, err = run(capsys, *_resolve_argv(4, 2))
     assert code == 3 and out == ""
     assert err.startswith("error:internal-value-error:") and err.count("\n") == 1
@@ -267,25 +296,28 @@ def test_resolve_internal_value_error_exits_3(capsys, monkeypatch):
 
 def test_resolve_integrity_check_survives_optimize(capsys):
     # under python -O a healthy run prints the same bytes, and a broken
-    # Weyl denominator or one-hook factor still exits 3 with one error line
+    # one-hook factor or Bott answer still exits 3 with one error line
     argv = _resolve_argv(4, 2)
     _, expected, _ = run(capsys, *argv)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     healthy = subprocess.run([sys.executable, "-O", "-m", "symsyz.cli", *argv],
                              env=env, capture_output=True, text=True, timeout=60)
     assert healthy.returncode == 0 and healthy.stdout == expected
-    breakages = [("symsyz.partitions", "_weyl_denominator = lambda n: 10**9 + 7", argv),
-                 ("symsyz.resolution", "_one_hook_factor = lambda n, k, b: 10**9 + 7",
-                  _resolve_argv(5, 1))]
-    for module, assignment, case in breakages:
+    shifted = "bott = lambda w, real=target.bott: real(w)._replace(degree=real(w).degree + 1)"
+    breakages = [("_one_hook_factor = lambda n, k, b: 10**9 + 7", argv, "non-integral-dimension"),
+                 ("_one_hook_factor = lambda n, k, b: 10**9 + 7", _resolve_argv(5, 1),
+                  "non-integral-dimension"),
+                 (shifted, argv, "enlarged-table-mismatch")]
+    module = "symsyz.resolution"
+    for assignment, case, code_name in breakages:
         script = (f"import sys, {module} as target, symsyz.cli as cli;"
                   f" target.{assignment};"
                   " sys.exit(cli.main(sys.argv[1:]))")
         broken = subprocess.run([sys.executable, "-O", "-c", script, *case],
                                 env=env, capture_output=True, text=True, timeout=60)
-        assert broken.returncode == 3 and broken.stdout == "", module
-        assert broken.stderr.startswith("error:non-integral-dimension:"), module
-        assert broken.stderr.count("\n") == 1, module
+        assert broken.returncode == 3 and broken.stdout == "", assignment
+        assert broken.stderr.startswith(f"error:{code_name}:"), assignment
+        assert broken.stderr.count("\n") == 1, assignment
 
 
 def test_verify_plucker_cross_check_survives_optimize():

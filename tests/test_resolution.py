@@ -9,6 +9,7 @@ from symsyz.geometry import desing_data
 from symsyz.partitions import FrobeniusHooks, from_hooks, weyl_dim
 from symsyz.resolution import (
     BettiTable,
+    EnlargedTableMismatch,
     RationalSingularityViolation,
     UnsupportedBundleError,
     assemble,
@@ -23,6 +24,7 @@ from symsyz.resolution import (
 
 from oracles import (
     conjugate,
+    enlarged_by_bott,
     hook_content_dim,
     ideal_quotient_dims,
     koszul_betti,
@@ -200,28 +202,62 @@ def test_enlarged_space_table_rejects_unsupported_parameters():
         assert str(err.value).startswith(f"{reason}: "), (n, k, r)
 
 
-def test_enlarged_top_degree_is_the_bundle_rank(monkeypatch):
-    # Sym^2 of the rank-m quotient has rank m(m+1)/2: every exterior degree
-    # up to it has summands, none above, and max_t clamps the walk to it
-    # (the top class itself may vanish, as at (5, 4))
-    caps = []
-    real = resolution.assemble
-    monkeypatch.setattr(resolution, "assemble",
-                        lambda oracle, cap: caps.append((set(oracle), cap)) or real(oracle, cap))
+def test_enlarged_top_degree_is_the_bundle_rank():
+    # Sym^2 of the rank-m quotient has rank m(m+1)/2, so no class sits above
+    # that exterior degree; for k = 2 the top one survives (at (5, 4) it
+    # vanishes). max_t filters entries and provenance to degrees t <= max_t.
     for n in range(3, 11):
         for k in range(2, n, 2):
             m = n - k // 2
             top = m * (m + 1) // 2
             full = enlarged_space_table(n, k, n)
-            assert caps.pop() == (set(range(top + 1)), top), (n, k)
-            assert full.max_degree() <= top
-            assert enlarged_space_table(n, k, n, max_t=10**9).entries == full.entries
-            assert caps.pop()[1] == top, (n, k)
+            assert full.max_degree() <= top and (k > 2 or full.max_degree() == top), (n, k)
+            assert enlarged_space_table(n, k, n, max_t=10**9) == full
             capped = enlarged_space_table(n, k, n, max_t=top // 2)
-            assert caps.pop() == (set(range(top // 2 + 1)), top // 2), (n, k)
-            assert capped.entries == {
-                key: mult for key, mult in full.entries.items() if key[1] <= top // 2
-            }, (n, k)
+            assert capped == BettiTable(
+                {key: mult for key, mult in full.entries.items() if key[1] <= top // 2},
+                {key: labels for key, labels in full.provenance.items() if key[1] <= top // 2},
+            ), (n, k)
+
+
+def test_enlarged_table_matches_the_summand_by_summand_oracle():
+    # the whole offset-1 family through an independent Bott, every even k
+    # with n <= 12, untruncated and filtered at half the bundle rank
+    for n in range(3, 13):
+        for k in range(2, n, 2):
+            m = n - k // 2
+            for max_t in (None, m * (m + 1) // 4):
+                table = enlarged_space_table(n, k, n, max_t)
+                entries, provenance = enlarged_by_bott(n, k, max_t)
+                assert table.entries == entries, (n, k, max_t)
+                assert {key: sorted(found) for key, found in table.provenance.items()} == {
+                    key: sorted(found) for key, found in provenance.items()}, (n, k, max_t)
+
+
+def test_resolve_checks_the_odd_rank_part(monkeypatch):
+    # the enlarged table minus the closed form resolves a rank-one module on
+    # the locus; moving one of its entries by a degree keeps the containment
+    # but breaks that, and only an untruncated run checks it
+    real = resolution.enlarged_space_table
+
+    def moved(n, k, r, max_t=None):
+        table = real(n, k, r, max_t)
+        table.entries[(3, 7)] = table.entries.pop((3, 6))
+        return table
+
+    monkeypatch.setattr(resolution, "enlarged_space_table", moved)
+    assert moved(5, 2, 5).contains(jpw_closed_form(5, 2))
+    with pytest.raises(EnlargedTableMismatch, match="odd-rank part"):
+        resolve(5, 2, 5)
+    assert resolve(5, 2, 5, max_t=40).enlarged.entries[(3, 7)] == 35
+
+
+def test_odd_rank_part_is_generated_in_degree_half_k():
+    for n in range(3, 13):
+        for k in range(2, n, 2):
+            report = resolve(n, k, n)  # raises unless the odd-rank part is a resolution
+            odd = {key for key in report.enlarged.entries if key not in report.table.entries}
+            assert {d for i, d in odd if i == 0} == {k // 2}, (n, k)
 
 
 ENLARGED_3 = {(0, 0): 1, (0, 1): 3, (1, 2): 3, (1, 3): 1}
