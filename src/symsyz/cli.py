@@ -60,8 +60,27 @@ def _integrity_failure(exc: Exception) -> int:
     return _fail(code, str(exc), INTERNAL_EXIT)
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _print_json(payload: dict) -> None:
+    """Print json.dumps(payload, sort_keys=True, separators=(",", ":")) one
+    piece at a time: the top-level keys in sorted order, and each item of a
+    top-level list encoded on its own, so no string of the whole document,
+    nor of a whole table, is ever built."""
+    write, encode = sys.stdout.write, _ENCODER.encode
+    write("{")
+    for position, key in enumerate(sorted(payload)):
+        value = payload[key]
+        write(("," if position else "") + encode(key) + ":")
+        if isinstance(value, list):
+            write("[")
+            for index, item in enumerate(value):
+                write(("," if index else "") + encode(item))
+            write("]")
+        else:
+            write(encode(value))
+    write("}\n")
 
 
 def cmd_resolve(args) -> int:

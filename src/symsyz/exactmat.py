@@ -5,7 +5,6 @@ really leaves one (an inverse, a rational product or determinant)."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import mul
 
@@ -59,7 +58,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def _exact(num: int, den: int):
     """num / den as an int when it divides, as a Fraction otherwise."""
     q, rest = divmod(num, den)
-    return Fraction(num, den) if rest else q
+    if not rest:
+        return q
+    from fractions import Fraction  # imported here: integer runs never need it
+
+    return Fraction(num, den)
 
 
 def _scaled(m: Matrix) -> tuple[list[list[int]], int]:

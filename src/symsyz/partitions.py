@@ -8,7 +8,6 @@ empty tuple is the zero partition. All arithmetic is exact.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import factorial, prod
 from typing import Iterator, NamedTuple
@@ -123,24 +122,39 @@ def _rows_from_hooks(arms, legs) -> tuple[int, ...]:
 
 
 def hook_family(
-    offset: int, max_leg: int
+    offset: int, max_leg: int, max_size: int | None = None
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Every partition whose Frobenius arms exceed its legs by `offset` and
-    whose legs are at most `max_leg`, as (legs, Durfee rank, size).
+    """Every partition whose Frobenius arms exceed its legs by `offset`,
+    whose legs are at most `max_leg` and whose size is at most `max_size`
+    (no bound when None), as (legs, Durfee rank, size).
 
-    Walks the strictly decreasing leg tuples in [0, max_leg] by rank, the
-    empty tuple (the zero partition) first. A member of rank s has size
-    2 * sum(legs) + s * (offset + 1) and at most max_leg + 1 rows; consumers
-    build the rows of the members they keep with :func:`_rows_from_hooks`.
+    Walks the tree of strictly decreasing leg tuples in [0, max_leg] in
+    preorder, larger legs first: the empty tuple (the zero partition) is the
+    root, and a member's children append a leg below its smallest one. So a
+    member's parent, its legs without the last, is the latest member yielded
+    one rank lower, and within a rank the members come in decreasing order
+    of their legs. A member of rank s has size 2 * sum(legs) + s * (offset + 1)
+    and at most max_leg + 1 rows. A child, or a sibling with a larger last
+    leg, is bigger, so the walk never visits a member above `max_size`.
 
     >>> list(hook_family(1, 1))
-    [((), 0, 0), ((1,), 1, 4), ((0,), 1, 2), ((1, 0), 2, 6)]
+    [((), 0, 0), ((1,), 1, 4), ((1, 0), 2, 6), ((0,), 1, 2)]
+    >>> list(hook_family(1, 1, max_size=4))
+    [((), 0, 0), ((1,), 1, 4), ((0,), 1, 2)]
     """
     if offset < 0:
         raise ValueError("offset must be nonnegative")
-    for s in range(max(max_leg, -1) + 2):  # the zero partition has no legs
-        for legs in itertools.combinations(range(max_leg, -1, -1), s):
-            yield legs, s, 2 * sum(legs) + s * (offset + 1)
+    step = offset + 1  # a child with last leg b is larger by step + 2b
+    # (legs, size) still to visit; the top of the stack is visited next
+    stack = [((), 0)] if max_size is None or max_size >= 0 else []
+    while stack:
+        legs, size = stack.pop()
+        yield legs, len(legs), size
+        top = legs[-1] - 1 if legs else max_leg
+        if max_size is not None:
+            top = min(top, (max_size - size - step) // 2)
+        for b in range(top + 1):  # the largest last leg is pushed last, so visited first
+            stack.append((legs + (b,), size + step + 2 * b))
 
 
 @lru_cache(maxsize=None)
@@ -150,7 +164,8 @@ def enumerate_Q(k_minus_1: int, weight: int) -> tuple[tuple[int, ...], ...]:
 
     `weight` must be even. A member's legs are at most
     (weight - k_minus_1 - 1) / 2, the leg of a single hook of that weight, so
-    the walk covers 2 ** (weight / 2) leg tuples at most.
+    the walk, which visits no member above `weight`, covers 2 ** (weight / 2)
+    leg tuples at most.
 
     >>> enumerate_Q(0, 4)
     ((2, 2),)
@@ -165,7 +180,7 @@ def enumerate_Q(k_minus_1: int, weight: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError(f"weight must be even and positive, got {weight}")
     max_leg = (weight - k_minus_1 - 1) // 2
     found = (_rows_from_hooks([b + k_minus_1 for b in legs], legs)
-             for legs, _, size in hook_family(k_minus_1, max_leg) if size == weight)
+             for legs, _, size in hook_family(k_minus_1, max_leg, weight) if size == weight)
     return tuple(sorted(found, reverse=True))
 
 
@@ -218,7 +233,7 @@ def exterior_of_sym2(t: int, e: int) -> list[tuple[tuple[int, ...], int]]:
 
     These are the partitions of 2t with every arm exceeding its leg by one,
     each with multiplicity one, in decreasing order; summands with more than
-    e rows vanish, so only legs below e are walked.
+    e rows vanish, so only legs below e, and sizes up to 2t, are walked.
 
     >>> exterior_of_sym2(1, 4)
     [((2,), 1)]
@@ -228,5 +243,5 @@ def exterior_of_sym2(t: int, e: int) -> list[tuple[tuple[int, ...], int]]:
     if t < 0:
         raise ValueError("exterior degree must be nonnegative")
     found = (_rows_from_hooks([b + 1 for b in legs], legs)
-             for legs, _, size in hook_family(1, e - 1) if size == 2 * t)
+             for legs, _, size in hook_family(1, e - 1, 2 * t) if size == 2 * t)
     return [(lam, 1) for lam in sorted(found, reverse=True)]

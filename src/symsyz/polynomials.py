@@ -22,6 +22,14 @@ class Poly:
     def __init__(self, terms: dict[Monomial, int] | None = None):
         self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
 
+    @classmethod
+    def _wrap(cls, terms: dict[Monomial, int]) -> "Poly":
+        """A Poly that takes `terms` as they are, with no copy: for callers
+        that built them and know no coefficient is zero."""
+        poly = object.__new__(cls)
+        poly.terms = terms
+        return poly
+
     @staticmethod
     def zero() -> "Poly":
         return Poly()
@@ -56,7 +64,7 @@ class Poly:
         return Poly(terms)
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly._wrap({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         for a, b in ((self, other), (other, self)):
@@ -84,7 +92,7 @@ class Poly:
             else:
                 m = m[:i] + ((v, 1),) + m[i:]
             out[m] = c1 * c
-        return Poly(out)
+        return Poly._wrap(out)  # c1 and c are nonzero, and no two monomials merged
 
     def degree(self) -> int:
         return max((sum(e for _, e in m) for m in self.terms), default=0)

@@ -136,31 +136,37 @@ def _one_hook_factor(n: int, k: int, b: int) -> int:
 
 def _closed_form_walk(n: int, k: int, max_t: int | None):
     """The zero partition, then the members of `hook_family(k - 1, n - k)` in
-    degrees t <= max_t, as (legs, rank s, t, GL_n dimension of the conjugate;
-    see jpw_closed_form). Skipping a member skips its children (larger t)."""
+    degrees t <= max_t, as (legs, rank s, t, GL_n dimension of the
+    conjugate, conjugate rows; see jpw_closed_form).
+
+    The walk is in preorder, so a member's parent is the latest member of
+    rank s - 1, and both its dimension and its conjugate rows come from the
+    parent's, kept in one slot per rank. With p = s - 1 and b the new
+    smallest leg, the conjugate gains row s = b + s, and its rows s + 1 to
+    b + k + p, which the new column of length b + k + p reaches, grow by one;
+    every longer row is the parent's."""
     factors = [_one_hook_factor(n, k, b) for b in range(n - k + 1)]
-    # dimensions of the members of the current rank and of the rank below
-    rank, parents, dims = 0, {}, {(): 1}
-    for legs, s, size in hook_family(k - 1, n - k):
-        t = size // 2
-        if s and max_t is not None and t > max_t:
-            continue
-        if s != rank:
-            rank, parents, dims = s, dims, {}
+    # t = size // 2 <= max_t; the zero partition (size 0) is always kept
+    max_size = None if max_t is None else max(2 * max_t + 1, 0)
+    dims, rows = [1] * (n - k + 2), [()] * (n - k + 2)
+    for legs, s, size in hook_family(k - 1, n - k, max_size):
         if s:
-            b, head = legs[-1], legs[:-1]
+            p, b = s - 1, legs[-1]
             num, den = factors[b], 2 * b + k
-            for c in head:
+            for c in legs[:p]:
                 num *= (c - b) ** 2
                 den *= (b + c + k) ** 2
-            dim, rest = divmod(parents[head] * num, den)
+            dim, rest = divmod(dims[p] * num, den)
             if rest:
                 raise NonIntegralDimension(
                     f"closed-form dimension of legs {legs} at {(n, k)} is not an integer:"
-                    f" {parents[head]} * {num}/{den}"
+                    f" {dims[p]} * {num}/{den}"
                 )
-            dims[legs] = dim
-        yield legs, s, t, dims[legs]
+            prow, end = rows[p], b + k + p
+            dims[s] = dim
+            rows[s] = (prow[:p] + (b + s,) + tuple([r + 1 for r in prow[s:end]]) + prow[end:]
+                       if p else (b + 1,) + (1,) * (b + k - 1))
+        yield legs, s, size // 2, dims[s], rows[s]
 
 
 def jpw_closed_form(n: int, k: int, max_t: int | None = None) -> BettiTable:
@@ -168,11 +174,11 @@ def jpw_closed_form(n: int, k: int, max_t: int | None = None) -> BettiTable:
     rank at most k: position i collects, over even-rank hook partitions
     lambda of 2t with arm = leg + (k-1) and i = t - k rank/2, the Schur
     dimensions of the conjugates; internal degree is t. The partitions have
-    at most n columns, so their legs are at most n - k. A conjugate is built
-    from the member's hooks swapped, (legs, arms).
+    at most n columns, so their legs are at most n - k. A conjugate has the
+    member's hooks swapped, (legs, arms).
 
-    Its dimension comes from the member's parent, the member without its
-    smallest leg b (one rank lower, so one step earlier in the walk). The
+    Its rows and its dimension come from the member's parent, the member
+    without its smallest leg b (the latest member one rank lower). The
     conjugate's rho-shifted rows in GL_n are {n + b_i} and the rest of
     0..n-1 without the n - k - b_i, and the Weyl product over them is
     prod_i F(b_i) / (2 b_i + k) * prod_{i<j} ((b_i - b_j) / (b_i + b_j + k))^2,
@@ -189,9 +195,9 @@ def jpw_closed_form(n: int, k: int, max_t: int | None = None) -> BettiTable:
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got {(n, k)}")
     table = BettiTable()
-    for legs, s, t, dim in _closed_form_walk(n, k, max_t):
+    for _, s, t, dim, rows in _closed_form_walk(n, k, max_t):
         if s % 2 == 0:
-            table.add(t - k * s // 2, t, _rows_from_hooks(legs, [b + k - 1 for b in legs]), dim)
+            table.add(t - k * s // 2, t, rows, dim)
     return table
 
 
@@ -300,8 +306,9 @@ def enlarged_space_table(n: int, k: int, r: int, max_t: int | None = None) -> Be
         )
     u, zeros = k // 2, (0,) * n
     table = BettiTable()
-    for legs, s, t, dim in _closed_form_walk(n, k, max_t):
-        label = (_rows_from_hooks(legs, [c + k - 1 for c in legs]) + zeros)[:n]
+    for legs, s, t, dim, rows in _closed_form_walk(n, k, max_t):
+        label = rows + zeros[len(rows):]
+        # the Bott weight is built from the legs alone, so `bott` also checks the walk's rows
         mu = (_rows_from_hooks([c + u for c in legs], [c + u - 1 for c in legs]) + zeros)[:n]
         if (answer := bott(QDominantWeight._make((n, n - u, mu)))) != (False, s * u, label):
             raise EnlargedTableMismatch(f"bott gives {answer} for the summand {mu} at"

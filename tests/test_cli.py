@@ -1,8 +1,10 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -178,6 +180,52 @@ def test_resolve_refuses_negative_max_t(capsys):
                          "--max-t", "-1", "--format", "json")
     assert code == 2 and out == ""
     assert err.startswith("error:invalid-params:") and err.count("\n") == 1
+
+
+JSON_CASES = [
+    *(["resolve", "--n", str(n), "--k", str(k), "--r", str(r), "--format", "json", *extra]
+      for n, k, r in [(3, 1, 3), (5, 2, 5), (6, 3, 6), (6, 4, 6), (5, 2, 4), (7, 3, 5)]
+      for extra in ([], ["--max-t", "0"], ["--max-t", "4"], ["--max-t", "9"])),
+    ["bott", "--n", "2", "--m", "1", "--weight", "1,0", "--format", "json"],
+    ["bott", "--n", "2", "--m", "1", "--weight", "2,0", "--format", "json"],
+    ["bott", "--n", "4", "--m", "2", "--weight", "3,3,1,0", "--format", "json"],
+    ["schubert", "--n", "5", "--k", "2", "--r", "4", "--format", "json"],
+    ["schubert", "--n", "3", "--k", "1", "--r", "3", "--format", "json"],
+]
+
+
+def test_json_output_is_the_canonical_encoding(capsys):
+    # the streamed printer writes the bytes of one json.dumps call: sorted
+    # keys at every depth, no spaces, one line
+    kinds = set()
+    for argv in JSON_CASES:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "", argv
+        payload = json.loads(out)
+        assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", argv
+        kinds.add((argv[0], payload.get("cohomology", 0) is None, "betti" in payload))
+    # resolve at r = n and r < n, bott zero and nonzero, schubert
+    assert kinds == {("resolve", False, True), ("resolve", False, False),
+                     ("bott", True, False), ("bott", False, False), ("schubert", False, False)}
+
+
+def test_printing_json_peaks_below_the_output_size(monkeypatch):
+    # the printer encodes one Betti cell at a time: at (13, 1) its traced
+    # peak stays below the size of the document it writes
+    payloads = []
+    monkeypatch.setattr(cli, "_print_json", payloads.append)
+    assert main(["resolve", "--n", "13", "--k", "1", "--r", "13", "--format", "json"]) == 0
+    monkeypatch.undo()
+    (payload,) = payloads
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            cli._print_json(payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    size = len(json.dumps(payload, sort_keys=True, separators=(",", ":"))) + 1
+    assert size > 200_000 and peak < size, (peak, size)
 
 
 def test_resolve_tables_pass_the_benchmark_checks(capsys):

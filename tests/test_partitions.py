@@ -1,3 +1,4 @@
+import itertools
 from math import comb
 
 import pytest
@@ -107,6 +108,30 @@ def test_hook_family_against_filter():
                 walked.append((lam, rank, size))
             assert sorted(walked) == expected, (offset, max_leg)
             assert len(expected) == 2 ** (max_leg + 1)
+
+
+def test_hook_family_is_the_combinations_filter_in_preorder():
+    # the same members as every leg tuple of itertools.combinations cut at
+    # max_size, in preorder: a tuple before its extensions, larger legs
+    # first, so each member's parent is the latest member one rank lower
+    for offset in range(3):
+        for max_leg in range(6):
+            everything = [(legs, s, 2 * sum(legs) + s * (offset + 1))
+                          for s in range(max_leg + 2)
+                          for legs in itertools.combinations(range(max_leg, -1, -1), s)]
+            largest = max(size for _, _, size in everything)
+            for max_size in (None, -1, *range(largest + 2)):
+                expected = sorted((m for m in everything if max_size is None or m[2] <= max_size),
+                                  key=lambda m: [-b for b in m[0]])
+                walked = list(hook_family(offset, max_leg, max_size))
+                assert walked == expected, (offset, max_leg, max_size)
+                latest = {}
+                for legs, s, _ in walked:
+                    assert s == 0 or latest[s - 1] == legs[:-1], (offset, max_leg, legs)
+                    latest[s] = legs
+                # within a rank, the order of itertools.combinations
+                assert [legs for legs, _, _ in sorted(walked, key=lambda m: m[1])] == [
+                    legs for legs, _, size in everything if max_size is None or size <= max_size]
 
 
 def test_schur_dim_examples():

@@ -57,6 +57,17 @@ def test_cli_import_loads_every_traced_module():
     assert done.stdout.split() == [], f"not loaded by import symsyz.cli: {done.stdout}"
 
 
+def test_cli_import_leaves_fractions_unloaded():
+    # exactmat imports Fraction only when a division leaves a remainder, so
+    # a CLI call on integers never loads fractions (nor decimal and numbers)
+    script = "import sys, symsyz.cli; print('fractions' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
 def test_enumerate_Q_keeps_its_cache():
     from symsyz.partitions import enumerate_Q
 

@@ -124,6 +124,27 @@ def test_single_variable_product_against_general_product(rational):
                     assert all(type(c) is int for c in product.terms.values())
 
 
+@pytest.mark.parametrize("rational", [False, True])
+def test_negation_and_variable_products_take_their_terms_uncopied(rational):
+    """Negation and products by c*v keep the terms they build as they are:
+    those equal the general product's and the negated coefficients, with no
+    zero coefficient to filter."""
+    rng = random.Random(f"uncopied:{rational}")
+    for _ in range(40):
+        p = random_poly(rng, rational, max_terms=4)
+        negated = -p
+        assert negated.terms == {m: -c for m, c in p.terms.items()}
+        assert negated == Poly.const(-1) * p and -negated == p
+        for v in ("a", "c", "e"):
+            factor = Poly({((v, 1),): random_coefficient(rng, rational) or 1})
+            product = p * factor
+            assert product.terms == general_product(p, factor)
+            assert all(c != 0 for c in product.terms.values()) and all(
+                c != 0 for c in negated.terms.values())
+    terms = {(("a", 1),): 2}
+    assert Poly._wrap(terms).terms is terms
+
+
 def planted_span(rng: random.Random, count: int) -> list[Poly]:
     """Random polynomials, about a third of them rational combinations of
     earlier ones, with rational coefficients throughout."""

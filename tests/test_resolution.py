@@ -6,7 +6,7 @@ import pytest
 
 from symsyz import resolution
 from symsyz.geometry import desing_data
-from symsyz.partitions import FrobeniusHooks, from_hooks, weyl_dim
+from symsyz.partitions import FrobeniusHooks, _rows_from_hooks, from_hooks, weyl_dim
 from symsyz.resolution import (
     BettiTable,
     EnlargedTableMismatch,
@@ -133,6 +133,44 @@ def test_closed_form_dimensions_match_weyl_dim():
                             expected[key] = weyl_dim(label + (0,) * (n - len(label)))
                         assert dim == expected[key], (n, k, max_t, label)
     assert len(expected) > 2**14
+
+
+def test_walk_rows_match_rows_from_hooks():
+    # each member's conjugate rows are its parent's with one hook added
+    for n in range(2, 13):
+        for k in range(1, n):
+            for legs, _, _, _, rows in resolution._closed_form_walk(n, k, None):
+                assert rows == _rows_from_hooks(legs, [b + k - 1 for b in legs]), (n, k, legs)
+
+
+def _tables_by_rank(n, k, max_t):
+    """Both r = n tables walked rank by rank with itertools.combinations, each
+    label built from its hooks and its dimension a Weyl product."""
+    closed, enlarged = BettiTable(), BettiTable()
+    for s in range(n - k + 2):
+        for legs in itertools.combinations(range(n - k, -1, -1), s):
+            t = (2 * sum(legs) + s * k) // 2
+            if s and max_t is not None and t > max_t:
+                continue
+            rows = _rows_from_hooks(legs, [b + k - 1 for b in legs])
+            label = rows + (0,) * (n - len(rows))
+            dim = weyl_dim(label)
+            if s % 2 == 0:
+                closed.add(t - k * s // 2, t, rows, dim)
+            enlarged.add(t - k * s // 2, t, label, dim)
+    return closed, enlarged
+
+
+def test_tables_match_a_rank_by_rank_walk():
+    # the depth-first walk adds every entry, and every provenance label in
+    # the same order, as a walk of one rank after another
+    for n in range(2, 11):
+        for k in range(1, n):
+            for max_t in (None, 0, 1, 3, 7, 12, 20):
+                closed, enlarged = _tables_by_rank(n, k, max_t)
+                assert jpw_closed_form(n, k, max_t) == closed, (n, k, max_t)
+                if k % 2 == 0:
+                    assert enlarged_space_table(n, k, n, max_t) == enlarged, (n, k, max_t)
 
 
 def test_jpw_scan_agrees_with_direct():
