@@ -5,7 +5,6 @@ from .bott import QDominantWeight, CohomologyAnswer, bott, bundle_cohomology
 from .geometry import (
     CellPattern,
     DesingData,
-    LinearSlice,
     OppositeCellPoint,
     desing_data,
     is_symplectic,
@@ -13,8 +12,6 @@ from .geometry import (
     opposite_cell_pattern,
     plucker_restriction,
     product_identification,
-    v_slice,
-    v_prime_slice,
 )
 from .partitions import (
     FrobeniusHooks,

@@ -297,11 +297,11 @@ def _d2_mirror(n: int, l: int, i: int, j: int) -> tuple[int, int]:
 
 
 def random_symplectic_cell_point(n: int, k: int, r: int, rng: random.Random,
-                                 bound: int = 6) -> em.Matrix:
-    """Random integer member of the symplectic opposite cell, assembled from
-    its blocks. The draws follow ``opposite_cell_pattern(n, k, r).free``:
-    the nonzero rows of A' row by row, then D2 row by row, where an entry
-    whose J-mirror came earlier copies it instead of drawing."""
+                                 bound: int = 6) -> OppositeCellPoint:
+    """Random integer point of the symplectic opposite cell. The draws follow
+    ``opposite_cell_pattern(n, k, r).free``: the nonzero rows of A' row by
+    row, then D2 row by row, where an entry whose J-mirror came earlier
+    copies it instead of drawing."""
     l = cell_cuts(n, k, r)[0]
     q = n - l
     draw = lambda: rng.randint(-bound, bound)
@@ -311,60 +311,11 @@ def random_symplectic_cell_point(n: int, k: int, r: int, rng: random.Random,
         for t in range(q):
             mirror = (q - 1 - t, q - 1 - s)
             d2[s][t] = d2[mirror[0]][mirror[1]] if mirror < (s, t) else draw()
-    return OppositeCellPoint(n, k, r, a_prime, d2).matrix()
+    return OppositeCellPoint(n, k, r, a_prime, d2)
 
 
 # ---------------------------------------------------------------------------
-# Linear slices and the product identification
-
-
-class LinearSlice(NamedTuple):
-    """A linear space cut out by vanishing coordinates, with an explicit
-    list of free positions; a symmetric slice holds symmetric matrices and
-    lists one position of each pair."""
-
-    symmetric: bool
-    size: tuple[int, int]
-    free: tuple[tuple[int, int], ...]
-
-    def dimension(self) -> int:
-        return len(self.free)
-
-    def contains(self, matrix) -> bool:
-        m = em.from_rows(matrix)
-        if em.shape(m) != self.size:
-            return False
-        free = set(self.free)
-        if self.symmetric:
-            if not em.is_symmetric(m):
-                return False
-            free |= {(j, i) for (i, j) in free}
-        return all(
-            m[i - 1][j - 1] == 0
-            for i in range(1, self.size[0] + 1)
-            for j in range(1, self.size[1] + 1)
-            if (i, j) not in free
-        )
-
-
-def v_slice(n: int, k: int, r: int) -> LinearSlice:
-    """Fibre slice inside the symmetric matrices: support in the lower-right
-    square of side n-(r-k). Free positions are the lower-triangle pairs."""
-    check_parameters(n, k, r)
-    l = r - k
-    free = tuple(
-        (i, j) for i in range(l + 1, n + 1) for j in range(l + 1, i + 1)
-    )
-    return LinearSlice(True, (n, n), free)
-
-
-def v_prime_slice(n: int, k: int, r: int) -> LinearSlice:
-    """Base slice inside the lower unipotent coordinates of the one-step
-    cell: the (n-(r-k)) x (r-k) band below the cut, zero below row r."""
-    check_parameters(n, k, r)
-    l = r - k
-    free = tuple((i - l, j) for i in range(l + 1, r + 1) for j in range(1, l + 1))
-    return LinearSlice(False, (n - l, l), free)
+# Points in block form and the product identification
 
 
 class _CellBlocks(NamedTuple):
@@ -442,32 +393,27 @@ def product_identification(n: int, k: int, r: int, matrix) -> tuple[em.Matrix, e
     """Split a symplectic cell member into its two linear components: the
     symmetric matrix D^T J A and the unipotent base factor A. Raises
     ValueError unless the matrix is a cell point, and SliceEscape unless the
-    components land in the expected slices."""
+    symmetric component lies in the fibre slice: supported on the trailing
+    square of side n-(r-k). (The base slice, A' zero below row r, is the
+    cell point's own constructor check.)"""
     m = em.from_rows(matrix)
     OppositeCellPoint.from_matrix(n, k, r, m)
-    a, c, d, e = em.split4(m, n, n)
-    j = em.antidiag(n)
-    sym = em.mat_mul(em.transpose(d), em.mat_mul(j, a))
-    if not v_slice(n, k, r).contains(sym):
+    a, _, d, _ = em.split4(m, n, n)
+    sym = em.mat_mul(em.transpose(d), a[::-1])  # J A is A with its rows reversed
+    if not em.is_symmetric(sym) or any(row[j] for row in sym for j in range(r - k)):
         raise SliceEscape(f"symmetric component escapes its slice at {(n, k, r)}")
-    l = r - k
-    base_coords = [[a[i][jj] for jj in range(l)] for i in range(l, n)]
-    if not v_prime_slice(n, k, r).contains(base_coords):
-        raise SliceEscape(f"base component escapes its slice at {(n, k, r)}")
     return sym, a
 
 
-def product_identification_inverse(n: int, k: int, r: int, sym, base) -> em.Matrix:
-    """Reassemble the cell member from its two components."""
+def product_identification_inverse(n: int, k: int, r: int, sym, base) -> OppositeCellPoint:
+    """The cell point of the two components: A' is the base's rows below
+    r-k, and D2 is J times the trailing square of sym, its rows reversed."""
     l = r - k
-    q = n - l
-    sym = em.from_rows(sym)
-    base = em.from_rows(base)
-    a_prime = [[base[l + i][j] for j in range(l)] for i in range(q)]
-    jq = em.antidiag(q)
-    s_block = [[sym[l + i][l + j] for j in range(q)] for i in range(q)]
-    d2 = em.mat_mul(jq, s_block)
-    return OppositeCellPoint(n, k, r, a_prime, d2).matrix()
+    return OppositeCellPoint(
+        n, k, r,
+        [row[:l] for row in base[l:]],
+        [row[l:] for row in reversed(sym[l:])],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +446,7 @@ def desing_data(n: int, k: int, r: int) -> DesingData:
     check_parameters(n, k, r)
     ambient = n * (n + 1) // 2
     q = n - (r - k)
-    fibre = q * (q + 1) // 2  # v_slice(n, k, r).dimension(), without listing the slice
+    fibre = q * (q + 1) // 2  # symmetric matrices on the trailing q-by-q square
     base_dim = k * (r - k)
     dim_z = base_dim + fibre
     return DesingData(

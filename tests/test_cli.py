@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -139,6 +140,22 @@ def test_betti_alias(capsys):
     code2, out2, _ = run(capsys, "resolve", "--n", "2", "--k", "1", "--r", "2",
                          "--format", "json")
     assert code1 == code2 == 0 and out1 == out2
+
+
+def test_verify_fast_seed_0_output(capsys):
+    # perfbench/checks.py parses these detail strings
+    code, out, err = run(capsys, "verify", "--fast", "--seed", "0")
+    assert (code, err) == (0, "")
+    assert out == (
+        "PASS weyl: patterns/tangent/coset checks pass for n <= 5\n"
+        "PASS plethysm: all counts match up to e=5, t=6\n"
+        "PASS bott-euler: line bundles |d| <= 6 match\n"
+        "PASS plucker: 4560 minors matched exactly\n"
+        "PASS factorization: 40 factorizations exact\n"
+        "PASS product: 20 round trips per case, n <= 4\n"
+        "PASS betti: closed form consistent for n <= 5\n"
+        "PASS subresolution: 2 enlarged tables contain the closed form\n"
+    )
 
 
 def test_verify_fast_deterministic(capsys):
@@ -384,8 +401,9 @@ def test_verify_plucker_cross_check_survives_optimize():
 
 
 def test_verify_slice_escape_exits_3(capsys, monkeypatch):
-    # product_identification checks that both components stay in their slices
-    monkeypatch.setattr(geometry.LinearSlice, "contains", lambda self, matrix: False)
+    # product_identification checks that the symmetric component is symmetric
+    # and supported on the trailing square
+    monkeypatch.setattr(exactmat, "is_symmetric", lambda m: False)
     code, out, err = run(capsys, "verify", "--fast", "--suites", "weyl,product")
     assert code == 3 and out == ""
     assert err.startswith("error:slice-escape:") and err.count("\n") == 1
@@ -399,7 +417,9 @@ def test_verify_rejected_product_point_is_a_fail_line(capsys, monkeypatch):
 
     def generator(n, k, r, rng):
         drawn.append((n, k, r))
-        return real(n, k, r, rng) if len(drawn) == 1 else geometry.symplectic_form(n)
+        if len(drawn) == 1:
+            return real(n, k, r, rng)
+        return SimpleNamespace(matrix=lambda: geometry.symplectic_form(n))
 
     monkeypatch.setattr(verify, "random_symplectic_cell_point", generator)
     code, out, err = run(capsys, "verify", "--fast", "--suites", "product")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,8 @@ from symsyz.geometry import (
     random_cell_point,
     random_symplectic_cell_point,
     symplectic_form,
-    v_prime_slice,
-    v_slice,
 )
+from symsyz import verify
 from symsyz.verify import all_parameters, random_symplectic
 from symsyz.weyl import family_element, length_C
 
@@ -168,7 +168,7 @@ def test_pattern_example_entry():
 def test_pattern_membership_implies_symplectic():
     rng = random.Random(31)
     for n, k, r in all_parameters(5):
-        m = random_symplectic_cell_point(n, k, r, rng)
+        m = random_symplectic_cell_point(n, k, r, rng).matrix()
         assert is_symplectic(m)
         assert opposite_cell_pattern(n, k, r).is_member(m)
 
@@ -180,21 +180,54 @@ def test_pattern_dimensions():
         assert pattern.dimension() == desing_data(n, k, r).dim_y
 
 
+def _fibre_slice_positions(n, k, r):
+    """One position (i, j), i >= j, of each symmetric pair in the fibre
+    slice: the trailing square of side n-(r-k)."""
+    l = r - k
+    return [(i, j) for i in range(l + 1, n + 1) for j in range(l + 1, i + 1)]
+
+
 def test_product_identification_examples():
     n, k, r = 2, 1, 2
     zero = OppositeCellPoint(n, k, r, [[0]], [[0]]).matrix()
     sym, base = product_identification(n, k, r, zero)
     assert em.mat_eq(sym, em.zeros(2, 2))
     # one-parameter family: V_w is one-dimensional
-    assert v_slice(2, 1, 2).dimension() == 1
+    assert desing_data(2, 1, 2).fibre_dim == len(_fibre_slice_positions(2, 1, 2)) == 1
     rng = random.Random(13)
     for n, k, r in all_parameters(4):
+        l = r - k
         for _ in range(25):
-            m = random_symplectic_cell_point(n, k, r, rng)
+            point = random_symplectic_cell_point(n, k, r, rng)
+            m = point.matrix()
             sym, base = product_identification(n, k, r, m)
-            assert v_slice(n, k, r).contains(sym)
+            assert em.is_symmetric(sym)
+            assert all(sym[i][j] == 0 for i in range(n) for j in range(n)
+                       if min(i, j) < l), (n, k, r)
             back = product_identification_inverse(n, k, r, sym, base)
-            assert em.mat_eq(back, em.from_rows(m))
+            assert back == point
+            assert em.mat_eq(back.matrix(), m)
+
+
+def test_product_suite_assembles_each_point_twice(monkeypatch):
+    """Once from the drawn blocks and once inside from_matrix; the round
+    trip compares blocks, not matrices."""
+    drawn, assembled = [], []
+    real_draw, real_matrix = verify.random_symplectic_cell_point, OppositeCellPoint.matrix
+
+    def draw(*args):
+        drawn.append(real_draw(*args))
+        return drawn[-1]
+
+    def matrix(self):
+        assembled.append(self)
+        return real_matrix(self)
+
+    monkeypatch.setattr(verify, "random_symplectic_cell_point", draw)
+    monkeypatch.setattr(OppositeCellPoint, "matrix", matrix)
+    assert verify.product_suite(seed=3, n_max=4, points_per_case=5).passed
+    assert len(drawn) == 5 * len(all_parameters(4))
+    assert Counter(assembled) == Counter(drawn * 2)
 
 
 def test_cell_point_validation():
@@ -205,15 +238,20 @@ def test_cell_point_validation():
 
 
 def test_slices():
-    assert v_slice(2, 1, 2).dimension() == 1
-    assert v_slice(5, 2, 4).dimension() == 6
-    assert v_slice(4, 3, 4).dimension() == 6
-    assert v_prime_slice(5, 2, 4).dimension() == 4  # = k(r-k), the base dimension
+    assert desing_data(2, 1, 2).fibre_dim == 1
+    assert desing_data(5, 2, 4).fibre_dim == 6
+    assert desing_data(4, 3, 4).fibre_dim == 6
+    assert desing_data(5, 2, 4).base_dim == 4  # = k(r-k), the free rows of A'
 
 
 def test_fibre_dim_counts_the_slice():
     for n, k, r in all_parameters(8):
-        assert desing_data(n, k, r).fibre_dim == v_slice(n, k, r).dimension(), (n, k, r)
+        l = r - k
+        data = desing_data(n, k, r)
+        assert data.fibre_dim == len(_fibre_slice_positions(n, k, r)), (n, k, r)
+        # the base slice: rows l+1..r of the first band, zero below row r
+        assert data.base_dim == len([(i, j) for i in range(l + 1, r + 1)
+                                     for j in range(1, l + 1)]), (n, k, r)
 
 
 def test_desing_data_examples():
@@ -254,7 +292,8 @@ def test_fibre_slice_convention_flag():
             for j in range(1, i + 1)
             if not (j <= l or i < q or i <= l or j < q)
         )
-        implemented = v_slice(n, k, r).dimension()
+        implemented = len(_fibre_slice_positions(n, k, r))
+        assert implemented == desing_data(n, k, r).fibre_dim
         assert implemented == length_C(family_element(n, k, r)) - k * l
         if n <= 2 * l + 1:
             assert verbatim == implemented, (n, k, r)
@@ -302,6 +341,15 @@ def test_product_identification_rejects_non_members():
     bad[3][0] = Fraction(1)  # breaks the unipotent cell shape
     with pytest.raises(ValueError):
         product_identification(3, 1, 2, bad)
+    # the base slice: a nonzero entry of A' below row r
+    rng = random.Random(47)
+    for n, k, r in all_parameters(5):
+        if r == n:
+            continue
+        bad = random_symplectic_cell_point(n, k, r, rng).matrix()
+        bad[rng.randrange(r, n)][rng.randrange(r - k)] = rng.choice((-1, 1))
+        with pytest.raises(ValueError, match="bottom rows of the first band must vanish"):
+            product_identification(n, k, r, bad)
 
 
 def _pattern_point(pattern, rng, bound=6):
@@ -320,7 +368,7 @@ def test_block_form_draws_the_pattern_point():
         for _ in range(5):
             clone = random.Random()
             clone.setstate(rng.getstate())
-            m = random_symplectic_cell_point(n, k, r, rng)
+            m = random_symplectic_cell_point(n, k, r, rng).matrix()
             assert m == _pattern_point(pattern, clone), (n, k, r)
             assert rng.getstate() == clone.getstate()
             assert all(type(x) is int for row in m for x in row)
@@ -341,7 +389,7 @@ def test_from_matrix_accepts_exactly_the_pattern_members():
     for n, k, r in all_parameters(5):
         pattern = opposite_cell_pattern(n, k, r)
         size = 2 * n
-        m = random_symplectic_cell_point(n, k, r, rng)
+        m = random_symplectic_cell_point(n, k, r, rng).matrix()
         assert agree(n, k, r, pattern, m)
         rejected = 0
         for i in range(size):  # every entry, above, on and below the diagonal
