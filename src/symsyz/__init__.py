@@ -41,8 +41,6 @@ from .weyl import (
     ParabolicMarker,
     WeylElementC,
     avoids_patterns,
-    bruhat_leq,
-    bruhat_leq_grassmannian,
     family_element,
     length_A,
     length_C,

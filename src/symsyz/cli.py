@@ -181,7 +181,7 @@ def cmd_schubert(args) -> int:
             "m": m_value(w),
             "l_C(w_max)": length_C(wmax_elt),
         }
-        smooth = tangent_dim_at_id_C(wmax_elt) == length_C(wmax_elt)
+        smooth = tangent_dim_at_id_C(wmax_elt) == lengths["l_C(w_max)"]
         avoiding = avoids_patterns(wmax, [(4, 2, 3, 1), (3, 1, 4, 2)])
         cell_dimension = opposite_cell_pattern(args.n, args.k, args.r).dimension()
         data = desing_data(args.n, args.k, args.r)

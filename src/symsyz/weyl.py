@@ -44,13 +44,6 @@ def length_A(word: Sequence[int]) -> int:
     )
 
 
-def transposition(n: int, i: int, j: int) -> tuple[int, ...]:
-    """The transposition (i j) of S_n, values 1-based."""
-    word = list(range(1, n + 1))
-    word[i - 1], word[j - 1] = word[j - 1], word[i - 1]
-    return tuple(word)
-
-
 def _is_pattern_match(sub: tuple[int, ...], pattern: tuple[int, ...]) -> bool:
     # order-isomorphism of equal-length sequences of distinct values
     return all(
@@ -81,32 +74,6 @@ def avoids_patterns(word: Sequence[int], patterns: Sequence[Sequence[int]]) -> b
     return True
 
 
-def bruhat_leq_grassmannian(u: Sequence[int], v: Sequence[int]) -> bool:
-    """Grassmannian Bruhat order: componentwise comparison of the ascending
-    sorts of two index sequences of equal length.
-
-    >>> bruhat_leq_grassmannian((1, 2), (3, 4))
-    True
-    >>> bruhat_leq_grassmannian((2, 3), (1, 4))
-    False
-    """
-    if len(u) != len(v):
-        raise ValueError("sequences must have equal length")
-    return all(a <= b for a, b in zip(sorted(u), sorted(v)))
-
-
-def bruhat_leq(u: Sequence[int], v: Sequence[int]) -> bool:
-    """Full Bruhat order on S_N via sorted-prefix domination at every cut."""
-    u = check_permutation(u)
-    v = check_permutation(v)
-    if len(u) != len(v):
-        raise ValueError("permutations must have equal size")
-    for cut in range(1, len(u)):
-        if not bruhat_leq_grassmannian(u[:cut], v[:cut]):
-            return False
-    return True
-
-
 class _Marker(NamedTuple):
     omitted: tuple[int, ...]
 
@@ -127,19 +94,14 @@ class ParabolicMarker(_Marker):
             raise ValueError(f"omitted indices {self.omitted} exceed rank {rank}")
 
 
-def tangent_dim_at_id_A(word: Sequence[int]) -> int:
-    """Dimension of the tangent space at the identity of the type-A
-    Schubert variety of `word` in the full flag variety: the number of
-    transpositions below the word in the Bruhat order.
-    """
-    word = check_permutation(word)
-    n = len(word)
-    return sum(
-        1
-        for i in range(1, n + 1)
-        for j in range(1, i)
-        if bruhat_leq(transposition(n, j, i), word)
-    )
+def _transpositions_below(word: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The pairs a < b with the transposition (a b) below `word` in the Bruhat
+    order. By the tableau criterion (Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, 2.6) they are those with max(w_1..w_a) >= b and min(w_b..w_N) <= a."""
+    prefix_max = list(itertools.accumulate(word, max))
+    suffix_min = list(itertools.accumulate(reversed(word), min))[::-1]
+    return [(a, b) for b in range(2, len(word) + 1) for a in range(1, b)
+            if prefix_max[a - 1] >= b and suffix_min[b - 1] <= a]
 
 
 def primed(i: int, n: int) -> int:
@@ -163,9 +125,10 @@ class WeylElementC(_HalfWord):
         half = tuple(int(a) for a in half_word)
         if len(half) != n:
             raise ValueError(f"half word must have length {n}")
-        if len(set(half)) != n or not all(1 <= a <= 2 * n for a in half):
+        letters = set(half)
+        if len(letters) != n or not all(1 <= a <= 2 * n for a in half):
             raise ValueError(f"half word entries must be distinct in 1..{2 * n}")
-        if any(primed(a, n) in set(half) for a in half):
+        if any(primed(a, n) in letters for a in half):
             raise ValueError("half word may not contain both v and its mirror")
         return super().__new__(cls, n, half)
 
@@ -298,22 +261,12 @@ def w_max_rep(n: int, k: int, r: int) -> tuple[int, ...]:
     return check_permutation(word)
 
 
-def reflection_count_c(w: WeylElementC) -> int:
-    """#{i <= n : w >= (i, i') in the full Bruhat order of S_2n}."""
-    full = w.full_word()
-    n = w.n
-    return sum(
-        1
-        for i in range(1, n + 1)
-        if bruhat_leq(transposition(2 * n, i, primed(i, n)), full)
-    )
-
-
 def tangent_dim_at_id_C(w: WeylElementC) -> int:
     """Tangent-space dimension at the identity of the full-flag type-C
     Schubert variety of w: half of (type-A tangent dimension of the full
-    word plus the mirrored-reflection count)."""
-    total = tangent_dim_at_id_A(w.full_word()) + reflection_count_c(w)
+    word plus the number of mirrored transpositions (i i') below it)."""
+    below = _transpositions_below(w.full_word())
+    total = len(below) + sum(1 for a, b in below if b == primed(a, w.n))
     if total % 2:
         raise ValueError(f"tangent dimension parity violated for {w}")
     return total // 2

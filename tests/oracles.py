@@ -1,8 +1,10 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately written from first principles, without
-touching the library's own code paths: breadth-first reduced words,
-explicit tableau enumeration, the hook-content formula, two formulations
+touching the library's own code paths: breadth-first reduced words, the
+Bruhat order on S_N by sorted prefixes, explicit tableau enumeration, the
+hook-content formula, the Hilbert function of the symmetric determinantal
+ring as a sum over the GL_n-components of Sym(Sym^2), two formulations
 of Bott's sorting algorithm (the rho-shift sort `bott_by_rho`, and the
 exchange loop `bott_by_exchange`, which swaps one adjacent ascent at a
 time), the enlarged-base Betti table summand by summand through
@@ -41,6 +43,41 @@ def reduced_word_lengths(n: int) -> dict[tuple[int, ...], int]:
                 dist[nxt] = dist[word] + 1
                 queue.append(nxt)
     return dist
+
+
+# -- Bruhat order by sorted prefixes ------------------------------------------
+
+def transposition(n: int, i: int, j: int) -> tuple[int, ...]:
+    """The transposition (i j) of S_n, values 1-based."""
+    word = list(range(1, n + 1))
+    word[i - 1], word[j - 1] = word[j - 1], word[i - 1]
+    return tuple(word)
+
+
+def bruhat_leq_grassmannian(u, v) -> bool:
+    """Grassmannian Bruhat order: componentwise comparison of the ascending
+    sorts of two index sequences of equal length.
+
+    >>> bruhat_leq_grassmannian((1, 2), (3, 4))
+    True
+    >>> bruhat_leq_grassmannian((2, 3), (1, 4))
+    False
+    """
+    if len(u) != len(v):
+        raise ValueError("sequences must have equal length")
+    return all(a <= b for a, b in zip(sorted(u), sorted(v)))
+
+
+def bruhat_leq(u, v) -> bool:
+    """Full Bruhat order on S_N via sorted-prefix domination at every cut
+    (the tableau criterion)."""
+    u, v = tuple(u), tuple(v)
+    for word in (u, v):
+        if sorted(word) != list(range(1, len(word) + 1)):
+            raise ValueError(f"not a permutation of 1..{len(word)}: {word}")
+    if len(u) != len(v):
+        raise ValueError("permutations must have equal size")
+    return all(bruhat_leq_grassmannian(u[:cut], v[:cut]) for cut in range(1, len(u)))
 
 
 # -- Partitions, part by part -------------------------------------------------
@@ -104,6 +141,19 @@ def hook_content_dim(shape: tuple[int, ...], e: int) -> int:
             den *= (row - c - 1) + (cols[c] - r - 1) + 1
     assert num % den == 0
     return num // den
+
+
+def sym2_quotient_hilbert(n: int, k: int, d: int) -> int:
+    """dim_d of the coordinate ring of the symmetric n-by-n matrices of rank
+    at most k. Sym(Sym^2 E) is the sum of the S_{2mu} E over all partitions
+    mu, and the ideal of (k+1)-minors is the sum of those with more than k
+    parts (S. Abeasis, 1980), so the quotient keeps the mu of d with at most
+    k parts, each with its hook-content dimension."""
+    return sum(
+        hook_content_dim(tuple(2 * part for part in mu), n)
+        for mu in partitions_of(d)
+        if len(mu) <= k
+    )
 
 
 # -- rho-shift form of the sorting algorithm ---------------------------------

@@ -29,6 +29,7 @@ from oracles import (
     ideal_quotient_dims,
     koszul_betti,
     socle_free_through,
+    sym2_quotient_hilbert,
     symmetric_minor_polys,
 )
 
@@ -436,3 +437,26 @@ def test_table_hilbert_function_matches_ideal_ranks(n, k, max_degree):
     gens = symmetric_minor_polys(n, k + 1)
     dims = ideal_quotient_dims(gens, nvars, max_degree)
     assert _hilbert_from_table(jpw_closed_form(n, k), nvars, max_degree) == dims
+
+
+def test_table_hilbert_function_matches_abeasis_sum():
+    """The Hilbert function implied by the closed-form table agrees, through
+    the table's top degree (which fixes its K-polynomial), with the sum of
+    dim S_{2mu} over the mu of d with at most k parts, for every n <= 8; and
+    one multiplicity raised by one at (5, 2) breaks the agreement."""
+    cases = 0
+    for n in range(2, 9):
+        nvars = n * (n + 1) // 2
+        for k in range(1, n):
+            table = jpw_closed_form(n, k)
+            top = table.max_degree()
+            expected = [sym2_quotient_hilbert(n, k, d) for d in range(top + 1)]
+            assert _hilbert_from_table(table, nvars, top) == expected, (n, k)
+            cases += 1
+    assert cases == 28
+    table = jpw_closed_form(5, 2)
+    top = table.max_degree()
+    expected = [sym2_quotient_hilbert(5, 2, d) for d in range(top + 1)]
+    for cell in table.entries:
+        bumped = BettiTable({**table.entries, cell: table.entries[cell] + 1})
+        assert _hilbert_from_table(bumped, 15, top) != expected, cell

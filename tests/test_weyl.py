@@ -1,25 +1,25 @@
+import itertools
+
 import pytest
 
 from symsyz.weyl import (
     ParabolicMarker,
     PermutationWordError,
     WeylElementC,
+    _transpositions_below,
     avoids_patterns,
-    bruhat_leq,
-    bruhat_leq_grassmannian,
     family_element,
     h_side_cuts,
     length_A,
     length_C,
     m_value,
     sort_blocks,
-    tangent_dim_at_id_A,
     tangent_dim_at_id_C,
     w_max_rep,
     w_tilde_min_rep,
 )
 
-from oracles import reduced_word_lengths
+from oracles import bruhat_leq, bruhat_leq_grassmannian, reduced_word_lengths, transposition
 
 
 def all_params(n_max):
@@ -148,28 +148,76 @@ def test_bruhat_full_small():
 
 
 def test_tangent_dim_type_a_examples():
-    assert tangent_dim_at_id_A((2, 1)) == 1
+    # the type-A tangent dimension at the identity counts the transpositions below
+    assert _transpositions_below((2, 1)) == [(1, 2)]
     ident = tuple(range(1, 5))
-    assert tangent_dim_at_id_A(ident) == 0
+    assert _transpositions_below(ident) == []
     # the longest element is smooth: tangent dimension equals length
     w0 = (4, 3, 2, 1)
-    assert tangent_dim_at_id_A(w0) == length_A(w0)
+    assert len(_transpositions_below(w0)) == length_A(w0)
 
 
 def test_tangent_dim_type_c_identity():
     assert tangent_dim_at_id_C(WeylElementC(3, (1, 2, 3))) == 0
 
 
+def _transpositions_below_by_bruhat(word):
+    # the reference: every transposition (a b) tested with the full Bruhat order
+    size = len(word)
+    return [(a, b) for b in range(2, size + 1) for a in range(1, b)
+            if bruhat_leq(transposition(size, a, b), word)]
+
+
+def _tangent_dim_c_by_bruhat(w):
+    below = _transpositions_below_by_bruhat(w.full_word())
+    total = len(below) + sum(1 for a, b in below if a + b == 2 * w.n + 1)
+    assert total % 2 == 0
+    return total // 2
+
+
+def test_transpositions_below_match_bruhat_on_all_of_s_n():
+    singular = 0
+    for size in range(1, 7):
+        for word in itertools.permutations(range(1, size + 1)):
+            below = _transpositions_below(word)
+            assert below == _transpositions_below_by_bruhat(word), word
+            tangent = len(below)
+            # smooth exactly when 3412 and 4231 are avoided (Lakshmibai-Sandhya)
+            smooth = avoids_patterns(word, [(3, 4, 1, 2), (4, 2, 3, 1)])
+            assert (tangent == length_A(word)) == smooth, word
+            singular += not smooth
+    # 0, 0, 0, 2, 32 and 354 singular words in S_1 .. S_6
+    assert singular == 388
+
+
+def test_tangent_dim_type_c_matches_bruhat_on_all_of_w_c():
+    elements = singular = 0
+    for n in range(1, 5):
+        for half in itertools.permutations(range(1, 2 * n + 1), n):
+            if any(2 * n + 1 - a in half for a in half):
+                continue
+            w = WeylElementC(n, half)
+            tangent = tangent_dim_at_id_C(w)
+            assert tangent == _tangent_dim_c_by_bruhat(w), half
+            elements += 1
+            singular += tangent > length_C(w)
+    assert elements == 2 + 8 + 48 + 384
+    assert singular > 0
+
+
 def test_w_max_smoothness_all_params():
-    for n, k, r in all_params(6):
-        wmax = WeylElementC.from_full_word(w_max_rep(n, k, r))
-        assert tangent_dim_at_id_C(wmax) == length_C(wmax), (n, k, r)
+    for n, k, r in all_params(8):
+        word = w_max_rep(n, k, r)
+        wmax = WeylElementC.from_full_word(word)
+        assert _transpositions_below(word) == _transpositions_below_by_bruhat(word), (n, k, r)
+        assert tangent_dim_at_id_C(wmax) == _tangent_dim_c_by_bruhat(wmax) == length_C(wmax), \
+            (n, k, r)
 
 
 def test_type_a_singular_case_detected():
     # the 4231 pattern itself is singular at the identity in the full flag
     word = (4, 2, 3, 1)
-    assert tangent_dim_at_id_A(word) > length_A(word)
+    assert len(_transpositions_below(word)) > length_A(word)
 
 
 def test_reflection_vanishing_criterion_at_first_cut():
