@@ -55,11 +55,6 @@ def _fail(code: str, message: str, exit_code: int) -> int:
     return exit_code
 
 
-def _integrity_failure(exc: Exception) -> int:
-    code = next(code for kind, code in INTEGRITY_CODES.items() if isinstance(exc, kind))
-    return _fail(code, str(exc), INTERNAL_EXIT)
-
-
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
@@ -84,15 +79,12 @@ def _print_json(payload: dict) -> None:
 
 
 def cmd_resolve(args) -> int:
-    if 1 <= args.k < args.r == args.n and (bits := args.n - args.k + 1) > MAX_WALK_LOG2:
+    check_parameters(args.n, args.k, args.r)
+    if args.r == args.n and (bits := args.n - args.k + 1) > MAX_WALK_LOG2:
         return _fail("too-large", f"(n, k) = ({args.n}, {args.k}) walks 2^{bits} leg tuples,"
                      f" more than 2^{MAX_WALK_LOG2}", USAGE_EXIT)
-    try:
-        report = resolve(args.n, args.k, args.r, max_t=args.max_t)
-    except InvalidParameters as exc:
-        return _fail("invalid-params", str(exc), USAGE_EXIT)
-    except tuple(INTEGRITY_CODES) as exc:
-        return _integrity_failure(exc)
+    # every check of a full run is made inside `resolve`, before anything prints
+    report = resolve(args.n, args.k, args.r, max_t=args.max_t)
     data = report.data
     if not report.supported():
         if args.format == "json":
@@ -129,12 +121,6 @@ def cmd_resolve(args) -> int:
             print("enlarged-space table:")
             print(report.enlarged.text_grid())
             print(f"contains closed form: {report.enlarged_contains_closed_form}")
-    if args.max_t is None:
-        # exploratory truncations legitimately break these; full runs must not
-        if not report.consistency.divisible:
-            return _fail("k-polynomial-indivisible", "consistency check failed", INTERNAL_EXIT)
-        if report.enlarged_contains_closed_form is False:
-            return _fail("subresolution-containment", "containment failed", INTERNAL_EXIT)
     return 0
 
 
@@ -165,30 +151,25 @@ def cmd_bott(args) -> int:
 
 
 def cmd_schubert(args) -> int:
-    try:
-        check_parameters(args.n, args.k, args.r)
-        if args.n > MAX_SCHUBERT_N:
-            return _fail("too-large", f"n = {args.n} is above the schubert cap of {MAX_SCHUBERT_N}",
-                         USAGE_EXIT)
-        w = family_element(args.n, args.k, args.r)
-        tilde = w_tilde_min_rep(w, ParabolicMarker((args.r - args.k, args.n)))
-        wmax = w_max_rep(args.n, args.k, args.r)
-        wmax_elt = WeylElementC.from_full_word(wmax)
-        w_full, w_tilde = w.full_word(), tilde.full_word()
-        lengths = {
-            "l_C(w)": length_C(w),
-            "l_A(full)": length_A(w_full),
-            "m": m_value(w),
-            "l_C(w_max)": length_C(wmax_elt),
-        }
-        smooth = tangent_dim_at_id_C(wmax_elt) == lengths["l_C(w_max)"]
-        avoiding = avoids_patterns(wmax, [(4, 2, 3, 1), (3, 1, 4, 2)])
-        cell_dimension = opposite_cell_pattern(args.n, args.k, args.r).dimension()
-        data = desing_data(args.n, args.k, args.r)
-    except InvalidParameters as exc:
-        return _fail("invalid-params", str(exc), USAGE_EXIT)
-    except tuple(INTEGRITY_CODES) as exc:
-        return _integrity_failure(exc)
+    check_parameters(args.n, args.k, args.r)
+    if args.n > MAX_SCHUBERT_N:
+        return _fail("too-large", f"n = {args.n} is above the schubert cap of {MAX_SCHUBERT_N}",
+                     USAGE_EXIT)
+    w = family_element(args.n, args.k, args.r)
+    tilde = w_tilde_min_rep(w, ParabolicMarker((args.r - args.k, args.n)))
+    wmax = w_max_rep(args.n, args.k, args.r)
+    wmax_elt = WeylElementC.from_full_word(wmax)
+    w_full, w_tilde = w.full_word(), tilde.full_word()
+    lengths = {
+        "l_C(w)": length_C(w),
+        "l_A(full)": length_A(w_full),
+        "m": m_value(w),
+        "l_C(w_max)": length_C(wmax_elt),
+    }
+    smooth = tangent_dim_at_id_C(wmax_elt) == lengths["l_C(w_max)"]
+    avoiding = avoids_patterns(wmax, [(4, 2, 3, 1), (3, 1, 4, 2)])
+    cell_dimension = opposite_cell_pattern(args.n, args.k, args.r).dimension()
+    data = desing_data(args.n, args.k, args.r)
     if args.format == "json":
         _print_json({
             "params": {"n": args.n, "k": args.k, "r": args.r},
@@ -239,10 +220,7 @@ def cmd_verify(args) -> int:
     unknown = [x for x in names if x not in DEFAULT_SUITES]
     if unknown:
         return _fail("unknown-suite", ", ".join(map(repr, unknown)), USAGE_EXIT)
-    try:
-        results = run_suites(args.seed, names, fast=args.fast)
-    except tuple(INTEGRITY_CODES) as exc:
-        return _integrity_failure(exc)
+    results = run_suites(args.seed, names, fast=args.fast)
     failed = False
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -294,7 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:  # the one failure boundary: commands raise before they print
+        return args.func(args)
+    except InvalidParameters as exc:
+        return _fail("invalid-params", str(exc), USAGE_EXIT)
+    except tuple(INTEGRITY_CODES) as exc:
+        code = next(code for kind, code in INTEGRITY_CODES.items() if isinstance(exc, kind))
+        return _fail(code, str(exc), INTERNAL_EXIT)
 
 
 if __name__ == "__main__":

@@ -18,13 +18,16 @@ from .weyl import InvalidParameters, check_parameters
 
 
 class RationalSingularityViolation(RuntimeError):
-    """A cohomology class landed in negative homological degree; with the
-    rational-singularities guarantee this can only mean an upstream bug."""
+    """A cohomology class landed in negative homological degree, the closed
+    form is not the shape of a resolution, or a full run's K-polynomial is
+    not divisible by (1-z)^codim; with the rational-singularities guarantee
+    this can only mean an upstream bug."""
 
 
 class EnlargedTableMismatch(RuntimeError):
     """The enlarged-base table disagrees with Bott's theorem on a member of
-    the walk, or its odd-rank part does not read as a resolution."""
+    the walk, misses an entry of the closed form on a full run, or its
+    odd-rank part does not read as a resolution."""
 
 
 class UnsupportedBundleError(ValueError):
@@ -192,8 +195,7 @@ def jpw_closed_form(n: int, k: int, max_t: int | None = None) -> BettiTable:
     >>> jpw_closed_form(3, 1, max_t=2).entries
     {(0, 0): 1, (1, 2): 6}
     """
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got {(n, k)}")
+    check_parameters(n, k, n)
     table = BettiTable()
     for _, s, t, dim, rows in _closed_form_walk(n, k, max_t):
         if s % 2 == 0:
@@ -260,8 +262,7 @@ def minor_generators(n: int, k: int) -> list[Poly]:
     >>> len(minor_generators(2, 1)), len(minor_generators(3, 1))
     (1, 6)
     """
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got {(n, k)}")
+    check_parameters(n, k, n)
     matrix = [[generic_symmetric_entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     subsets = list(itertools.combinations(range(n), k + 1))
     memo: dict = {}  # shared by all minors: each sub-minor is expanded once
@@ -340,7 +341,9 @@ def resolve(n: int, k: int, r: int, max_t: int | None = None) -> ResolveReport:
     """Full pipeline: closed form when r = n, with the enlarged-space
     cross-check when it exists; for r < n only the geometry is computable
     and the report says why. `max_t` (the CLI's --max-t) is a degree
-    filter: both tables keep only internal degrees t <= max_t."""
+    filter: both tables keep only internal degrees t <= max_t. A full run
+    raises if its K-polynomial is not divisible by (1-z)^codim or the
+    enlarged table misses the closed form; a truncated one reports both."""
     check_parameters(n, k, r)
     if max_t is not None and max_t < 0:
         raise InvalidParameters(f"max_t must be >= 0, got {max_t}")
@@ -358,8 +361,15 @@ def resolve(n: int, k: int, r: int, max_t: int | None = None) -> ResolveReport:
     if not table.is_resolution_shape():
         raise RationalSingularityViolation("closed-form table has spurious generators")
     consistency = consistency_check(table, data.codim)
+    # a degree filter legitimately cuts the table, so only full runs are checked
+    if max_t is None and not consistency.divisible:
+        raise RationalSingularityViolation(
+            f"the K-polynomial at {(n, k)} is not divisible by (1-z)^{data.codim}")
     enlarged = enlarged_space_table(n, k, r, max_t) if k % 2 == 0 else None
-    if enlarged is not None and max_t is None and consistency.divisible:
+    contains = None if enlarged is None else enlarged.contains(table)
+    if enlarged is not None and max_t is None:
+        if not contains:
+            raise EnlargedTableMismatch(f"the enlarged table at {(n, k)} misses the closed form")
         # the odd ranks resolve a rank-one Cohen-Macaulay module on the locus
         # (its class group is Z/2): length codim and the locus's degree
         odd = BettiTable({key: rest for key, mult in enlarged.entries.items()
@@ -369,6 +379,5 @@ def resolve(n: int, k: int, r: int, max_t: int | None = None) -> ResolveReport:
             raise EnlargedTableMismatch(f"the odd-rank part at {(n, k)} is not a resolution")
     return ResolveReport(
         n=n, k=k, r=r, table=table, data=data, consistency=consistency,
-        enlarged=enlarged,
-        enlarged_contains_closed_form=None if enlarged is None else enlarged.contains(table),
+        enlarged=enlarged, enlarged_contains_closed_form=contains,
     )

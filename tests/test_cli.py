@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from symsyz import cli, exactmat, geometry, resolution, verify, weyl
+from symsyz import cli, exactmat, geometry, partitions, resolution, verify, weyl
 from symsyz.bott import bott
 from symsyz.cli import MAX_SCHUBERT_N, MAX_WALK_LOG2, main
 
@@ -90,6 +90,19 @@ def test_bott_command(capsys):
     assert code == 0 and out.strip() == "ZERO"
     code, out, _ = run(capsys, "bott", "--n", "2", "--m", "1", "--weight", "2,0")
     assert code == 0 and out.strip() == "j=1 beta=(1,1) dim=1"
+
+
+def test_bott_integrity_failure_exits_3(capsys, monkeypatch):
+    # `import symsyz.bott` would bind the function that the package re-exports
+    def broken(weight):
+        raise partitions.NonIntegralDimension(f"dimension of {weight} is not an integer")
+
+    monkeypatch.setattr(sys.modules["symsyz.bott"], "weyl_dim", broken)
+    for fmt in ("json", "table"):
+        code, out, err = run(capsys, "bott", "--n", "2", "--m", "1", "--weight", "2,0",
+                             "--format", fmt)
+        assert code == 3 and out == ""
+        assert err.startswith("error:non-integral-dimension:") and err.count("\n") == 1
 
 
 def test_bott_rejects_non_dominant(capsys):
@@ -331,6 +344,14 @@ BREAKAGES = {
     "rational-singularity-violation": ("rational-singularity-violation", (4, 2),
                                        resolution.BettiTable, "is_resolution_shape",
                                        lambda self: False),
+    # the full-run checks raise inside `resolve`, before the table prints:
+    # an indivisible K-polynomial, and an enlarged table missing the closed form
+    "rational-singularity-violation-indivisible": (
+        "rational-singularity-violation", (4, 1), resolution, "consistency_check",
+        lambda table, codim: resolution.ConsistencyReport(divisible=False, degree=None)),
+    "enlarged-table-mismatch-containment": ("enlarged-table-mismatch", (4, 2),
+                                            resolution.BettiTable, "contains",
+                                            lambda self, other: False),
 }
 
 
@@ -361,7 +382,8 @@ def test_resolve_internal_value_error_exits_3(capsys, monkeypatch):
 
 def test_resolve_integrity_check_survives_optimize(capsys):
     # under python -O a healthy run prints the same bytes, and a broken
-    # one-hook factor or Bott answer still exits 3 with one error line
+    # one-hook factor, Bott answer or divisibility check still exits 3 with
+    # one error line
     argv = _resolve_argv(4, 2)
     _, expected, _ = run(capsys, *argv)
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -372,7 +394,9 @@ def test_resolve_integrity_check_survives_optimize(capsys):
     breakages = [("_one_hook_factor = lambda n, k, b: 10**9 + 7", argv, "non-integral-dimension"),
                  ("_one_hook_factor = lambda n, k, b: 10**9 + 7", _resolve_argv(5, 1),
                   "non-integral-dimension"),
-                 (shifted, argv, "enlarged-table-mismatch")]
+                 (shifted, argv, "enlarged-table-mismatch"),
+                 ("consistency_check = lambda table, codim: target.ConsistencyReport(False, None)",
+                  _resolve_argv(4, 1), "rational-singularity-violation")]
     module = "symsyz.resolution"
     for assignment, case, code_name in breakages:
         script = (f"import sys, {module} as target, symsyz.cli as cli;"
