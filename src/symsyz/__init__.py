@@ -38,9 +38,8 @@ from .resolution import (
     resolve,
 )
 from .weyl import (
-    ParabolicMarker,
-    WeylElementC,
     avoids_patterns,
+    check_type_c_word,
     family_element,
     length_A,
     length_C,

@@ -19,10 +19,8 @@ from .resolution import EnlargedTableMismatch, RationalSingularityViolation, k_p
 from .verify import DEFAULT_SUITES, run_suites
 from .weyl import (
     InvalidParameters,
-    ParabolicMarker,
-    PermutationWordError,
-    WeylElementC,
     avoids_patterns,
+    cell_cuts,
     check_parameters,
     family_element,
     length_A,
@@ -43,7 +41,6 @@ INTEGRITY_CODES = {
     NonIntegralDimension: "non-integral-dimension",
     PluckerMismatch: "plucker-mismatch",
     SliceEscape: "slice-escape",
-    PermutationWordError: "permutation-word",
     InexactElimination: "inexact-elimination",
     EnlargedTableMismatch: "enlarged-table-mismatch",
     ValueError: "internal-value-error",  # last: any other ValueError past the boundary checks
@@ -156,25 +153,23 @@ def cmd_schubert(args) -> int:
         return _fail("too-large", f"n = {args.n} is above the schubert cap of {MAX_SCHUBERT_N}",
                      USAGE_EXIT)
     w = family_element(args.n, args.k, args.r)
-    tilde = w_tilde_min_rep(w, ParabolicMarker((args.r - args.k, args.n)))
+    w_tilde = w_tilde_min_rep(w, cell_cuts(args.n, args.k, args.r))
     wmax = w_max_rep(args.n, args.k, args.r)
-    wmax_elt = WeylElementC.from_full_word(wmax)
-    w_full, w_tilde = w.full_word(), tilde.full_word()
     lengths = {
         "l_C(w)": length_C(w),
-        "l_A(full)": length_A(w_full),
+        "l_A(full)": length_A(w),
         "m": m_value(w),
-        "l_C(w_max)": length_C(wmax_elt),
+        "l_C(w_max)": length_C(wmax),
     }
-    smooth = tangent_dim_at_id_C(wmax_elt) == lengths["l_C(w_max)"]
+    smooth = tangent_dim_at_id_C(wmax) == lengths["l_C(w_max)"]
     avoiding = avoids_patterns(wmax, [(4, 2, 3, 1), (3, 1, 4, 2)])
     cell_dimension = opposite_cell_pattern(args.n, args.k, args.r).dimension()
     data = desing_data(args.n, args.k, args.r)
     if args.format == "json":
         _print_json({
             "params": {"n": args.n, "k": args.k, "r": args.r},
-            "w": list(w.half_word),
-            "w_full": list(w_full),
+            "w": list(w[:args.n]),
+            "w_full": list(w),
             "w_tilde": list(w_tilde),
             "w_max": list(wmax),
             "lengths": lengths,
@@ -184,7 +179,7 @@ def cmd_schubert(args) -> int:
             "geometry": _desing_dict(data),
         })
     else:
-        print(f"w       = {w.half_word} (half word), length {lengths['l_C(w)']}")
+        print(f"w       = {w[:args.n]} (half word), length {lengths['l_C(w)']}")
         print(f"w~      = {w_tilde}")
         print(f"w_max   = {wmax}")
         print(f"smooth desingularisation: tangent=length {smooth};"

@@ -20,7 +20,10 @@ from typing import NamedTuple
 
 from . import exactmat as em
 from .polynomials import Poly
-from .weyl import check_parameters
+from .weyl import cell_cuts, check_parameters
+
+CELL_POINT_BOUND = 9  # entries of random_cell_point
+SYMPLECTIC_POINT_BOUND = 6  # entries of random_symplectic_cell_point
 
 
 def _freeze(m) -> tuple:
@@ -92,11 +95,6 @@ def opposite_cell_factor(m: em.Matrix) -> tuple[em.Matrix, em.Matrix]:
 # Coordinates on the opposite big cell of the three-step parabolic quotient
 
 
-def cell_cuts(n: int, k: int, r: int) -> tuple[int, int, int]:
-    check_parameters(n, k, r)
-    return (r - k, n, 2 * n - (r - k))
-
-
 @lru_cache(maxsize=None)
 def free_positions(n: int, k: int, r: int) -> tuple[tuple[int, int], ...]:
     """Positions (i, j) with j <= cut < i for one of the three cuts."""
@@ -109,11 +107,11 @@ def free_positions(n: int, k: int, r: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def random_cell_point(n: int, k: int, r: int, rng: random.Random,
-                      bound: int = 9) -> dict[tuple[int, int], int]:
-    """Random integer coordinates on the free positions."""
+def random_cell_point(n: int, k: int, r: int, rng: random.Random) -> dict[tuple[int, int], int]:
+    """Random integer coordinates in [-CELL_POINT_BOUND, CELL_POINT_BOUND] on
+    the free positions."""
     return {
-        pos: rng.randint(-bound, bound)
+        pos: rng.randint(-CELL_POINT_BOUND, CELL_POINT_BOUND)
         for pos in free_positions(n, k, r)
     }
 
@@ -296,15 +294,15 @@ def _d2_mirror(n: int, l: int, i: int, j: int) -> tuple[int, int]:
     return n + (q + 1 - t), l + (q + 1 - s)
 
 
-def random_symplectic_cell_point(n: int, k: int, r: int, rng: random.Random,
-                                 bound: int = 6) -> OppositeCellPoint:
-    """Random integer point of the symplectic opposite cell. The draws follow
+def random_symplectic_cell_point(n: int, k: int, r: int, rng: random.Random) -> OppositeCellPoint:
+    """Random integer point of the symplectic opposite cell, with entries in
+    [-SYMPLECTIC_POINT_BOUND, SYMPLECTIC_POINT_BOUND]. The draws follow
     ``opposite_cell_pattern(n, k, r).free``: the nonzero rows of A' row by
     row, then D2 row by row, where an entry whose J-mirror came earlier
     copies it instead of drawing."""
     l = cell_cuts(n, k, r)[0]
     q = n - l
-    draw = lambda: rng.randint(-bound, bound)
+    draw = lambda: rng.randint(-SYMPLECTIC_POINT_BOUND, SYMPLECTIC_POINT_BOUND)
     a_prime = [[draw() for _ in range(l)] if i < r - l else [0] * l for i in range(q)]
     d2 = [[0] * q for _ in range(q)]
     for s in range(q):

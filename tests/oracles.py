@@ -4,18 +4,20 @@ Everything here is deliberately written from first principles, without
 touching the library's own code paths: breadth-first reduced words, the
 Bruhat order on S_N by sorted prefixes, explicit tableau enumeration, the
 hook-content formula, the Hilbert function of the symmetric determinantal
-ring as a sum over the GL_n-components of Sym(Sym^2), two formulations
-of Bott's sorting algorithm (the rho-shift sort `bott_by_rho`, and the
-exchange loop `bott_by_exchange`, which swaps one adjacent ascent at a
-time), the enlarged-base Betti table summand by summand through
-`bott_by_rho`, Gaussian elimination over Q that rescans every reduced row,
-Gauss-Jordan inversion in Fraction arithmetic, and a mod-p
-Koszul-homology computation of graded Betti numbers.
+ring as a sum over the GL_n-components of Sym(Sym^2), its GL_n character
+at a random torus point through Schur bialternants mod a prime, two
+formulations of Bott's sorting algorithm (the rho-shift sort
+`bott_by_rho`, and the exchange loop `bott_by_exchange`, which swaps one
+adjacent ascent at a time), the enlarged-base Betti table summand by
+summand through `bott_by_rho`, Gaussian elimination over Q that rescans
+every reduced row, Gauss-Jordan inversion in Fraction arithmetic, and a
+mod-p Koszul-homology computation of graded Betti numbers.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 from fractions import Fraction
 from math import comb
@@ -154,6 +156,81 @@ def sym2_quotient_hilbert(n: int, k: int, d: int) -> int:
         for mu in partitions_of(d)
         if len(mu) <= k
     )
+
+
+# -- GL_n characters at a torus point, mod a prime ----------------------------
+
+CHARACTER_PRIME = 2 ** 61 - 1  # a Mersenne prime: a false agreement has odds ~ degree / p
+
+
+def _det_mod(rows: list[list[int]], p: int) -> int:
+    """Determinant mod p by Gaussian elimination with inverses mod p."""
+    m = [row[:] for row in rows]
+    det = 1
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det = det * m[c][c] % p
+        inverse = pow(m[c][c], p - 2, p)
+        for r in range(c + 1, len(m)):
+            factor = m[r][c] * inverse % p
+            m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[c])]
+    return det % p
+
+
+def schur_at(shape: tuple[int, ...], x: list[int], p: int = CHARACTER_PRIME) -> int:
+    """The Schur polynomial s_shape(x_1..x_n) mod p as the bialternant
+    det(x_j^(shape_i + n - i)) / det(x_j^(n - i)); zero past n rows. The x_j
+    must be distinct mod p."""
+    n = len(x)
+    if len(shape) > n:
+        return 0
+    rows = list(shape) + [0] * (n - len(shape))
+    alternant = _det_mod([[pow(v, rows[i] + n - 1 - i, p) for v in x] for i in range(n)], p)
+    vandermonde = _det_mod([[pow(v, n - 1 - i, p) for v in x] for i in range(n)], p)
+    return alternant * pow(vandermonde, p - 2, p) % p
+
+
+def complete_homogeneous(values: list[int], top: int, p: int = CHARACTER_PRIME) -> list[int]:
+    """h_0..h_top of the values mod p: the coefficients of prod 1/(1 - v z)."""
+    h = [1] + [0] * top
+    for v in values:
+        for d in range(1, top + 1):
+            h[d] = (h[d] + v * h[d - 1]) % p
+    return h
+
+
+def resolution_character_mismatches(n: int, k: int, labels, top: int, seed: int) -> list[int]:
+    """The degrees d <= top at which a GL_n-equivariant resolution of the
+    symmetric rank <= k locus, given as (i, t, shape) triples (one per Schur
+    summand S_shape E of F_i in degree t), fails its character identity at a
+    seeded random torus point x, mod CHARACTER_PRIME:
+
+        sum (-1)^i s_shape(x) h_{d-t}(x_a x_b : a <= b)
+            = sum over mu |- d with at most k parts of s_{2mu}(x).
+
+    The left side is the character of the degree-d piece of the complex over
+    Sym(Sym^2 E), the right side that of the coordinate ring (Abeasis 1980).
+    The dimension check of the Hilbert function sees only dim S_shape; this
+    one sees which shape each summand is."""
+    p = CHARACTER_PRIME
+    x = random.Random(seed).sample(range(2, p), n)
+    h = complete_homogeneous([x[a] * x[b] % p for a in range(n) for b in range(a, n)], top, p)
+    complex_side = [0] * (top + 1)
+    for i, t, shape in labels:
+        value = (-1) ** i * schur_at(shape, x, p)
+        for d in range(t, top + 1):
+            complex_side[d] = (complex_side[d] + value * h[d - t]) % p
+    ring_side = [
+        sum(schur_at(tuple(2 * part for part in conjugate(nu)), x, p)
+            for nu in partitions_of(d, k)) % p
+        for d in range(top + 1)
+    ]
+    return [d for d in range(top + 1) if complex_side[d] != ring_side[d]]
 
 
 # -- rho-shift form of the sorting algorithm ---------------------------------

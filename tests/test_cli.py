@@ -124,14 +124,61 @@ def test_bott_invalid_weights_exit_2(capsys, n, m, weight, message):
     assert (code, out, err) == (2, "", f"error:invalid-weight: {message}\n")
 
 
+SCHUBERT_JSON = {
+    (5, 2, 4): '{"cell_dimension":10,"geometry":{"ambient_dim":15,"base":"GL_4/P\'\'_{2}",'
+               '"base_dim":4,"bundle_rank":9,"codim":5,"dim_Y":10,"dim_Z":10,"fibre_dim":6},'
+               '"lengths":{"l_A(full)":17,"l_C(w)":10,"l_C(w_max)":14,"m":3},'
+               '"params":{"k":2,"n":5,"r":4},"pattern_avoiding":true,"smooth_total_space":true,'
+               '"w":[3,4,6,9,10],"w_full":[3,4,6,9,10,1,2,5,7,8],'
+               '"w_max":[4,3,10,9,6,5,2,1,8,7],"w_tilde":[3,4,6,9,10,1,2,5,7,8]}\n',
+    (3, 1, 3): '{"cell_dimension":3,"geometry":{"ambient_dim":6,"base":"GL_3/P\'\'_{2}",'
+               '"base_dim":2,"bundle_rank":5,"codim":3,"dim_Y":3,"dim_Z":3,"fibre_dim":1},'
+               '"lengths":{"l_A(full)":5,"l_C(w)":3,"l_C(w_max)":4,"m":1},'
+               '"params":{"k":1,"n":3,"r":3},"pattern_avoiding":true,"smooth_total_space":true,'
+               '"w":[2,3,6],"w_full":[2,3,6,1,4,5],"w_max":[3,2,6,1,5,4],'
+               '"w_tilde":[2,3,6,1,4,5]}\n',
+    (6, 2, 5): '{"cell_dimension":12,"geometry":{"ambient_dim":21,"base":"GL_5/P\'\'_{3}",'
+               '"base_dim":6,"bundle_rank":15,"codim":9,"dim_Y":12,"dim_Z":12,"fibre_dim":6},'
+               '"lengths":{"l_A(full)":21,"l_C(w)":12,"l_C(w_max)":18,"m":3},'
+               '"params":{"k":2,"n":6,"r":5},"pattern_avoiding":true,"smooth_total_space":true,'
+               '"w":[3,4,5,7,11,12],"w_full":[3,4,5,7,11,12,1,2,6,8,9,10],'
+               '"w_max":[5,4,3,12,11,7,6,2,1,10,9,8],"w_tilde":[3,4,5,7,11,12,1,2,6,8,9,10]}\n',
+}
+
+SCHUBERT_TABLE = {
+    (5, 2, 4): """\
+w       = (3, 4, 6, 9, 10) (half word), length 10
+w~      = (3, 4, 6, 9, 10, 1, 2, 5, 7, 8)
+w_max   = (4, 3, 10, 9, 6, 5, 2, 1, 8, 7)
+smooth desingularisation: tangent=length True; 4231/3142 avoiding True
+opposite cell pattern: 10 free coordinates
+base GL_4/P''_{2} of dim 4; fibre dim 6; dim Y = dim Z = 10; codim 5 in dim-15 ambient; bundle rank 9
+""",
+    (3, 1, 3): """\
+w       = (2, 3, 6) (half word), length 3
+w~      = (2, 3, 6, 1, 4, 5)
+w_max   = (3, 2, 6, 1, 5, 4)
+smooth desingularisation: tangent=length True; 4231/3142 avoiding True
+opposite cell pattern: 3 free coordinates
+base GL_3/P''_{2} of dim 2; fibre dim 1; dim Y = dim Z = 3; codim 3 in dim-6 ambient; bundle rank 5
+""",
+    (6, 2, 5): """\
+w       = (3, 4, 5, 7, 11, 12) (half word), length 12
+w~      = (3, 4, 5, 7, 11, 12, 1, 2, 6, 8, 9, 10)
+w_max   = (5, 4, 3, 12, 11, 7, 6, 2, 1, 10, 9, 8)
+smooth desingularisation: tangent=length True; 4231/3142 avoiding True
+opposite cell pattern: 12 free coordinates
+base GL_5/P''_{3} of dim 6; fibre dim 6; dim Y = dim Z = 12; codim 9 in dim-21 ambient; bundle rank 15
+""",
+}
+
+
 def test_schubert_command(capsys):
-    code, out, _ = run(capsys, "schubert", "--n", "5", "--k", "2", "--r", "4",
-                       "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["w_tilde"][:8] == [3, 4, 6, 9, 10, 1, 2, 5]
-    assert payload["smooth_total_space"] is True
-    assert payload["pattern_avoiding"] is True
+    # the whole output, byte for byte, in both formats
+    for nkr in SCHUBERT_JSON:
+        params = [str(x) for pair in zip(("--n", "--k", "--r"), nkr) for x in pair]
+        assert run(capsys, "schubert", *params, "--format", "json") == (0, SCHUBERT_JSON[nkr], "")
+        assert run(capsys, "schubert", *params) == (0, SCHUBERT_TABLE[nkr], "")
     code, out, _ = run(capsys, "schubert", "--n", "2", "--k", "1", "--r", "2",
                        "--format", "json")
     payload = json.loads(out)
@@ -449,18 +496,6 @@ def test_verify_rejected_product_point_is_a_fail_line(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--fast", "--suites", "product")
     assert code == 1 and err == "" and len(drawn) == 2
     assert out == "FAIL product: matrix does not satisfy the cell pattern at (2, 1, 2)\n"
-
-
-def test_schubert_integrity_failure_exits_3(capsys, monkeypatch):
-    def broken(self):
-        raise weyl.PermutationWordError(f"full word of {self.half_word} is not a permutation")
-
-    monkeypatch.setattr(weyl.WeylElementC, "full_word", broken)
-    for fmt in ("json", "table"):
-        code, out, err = run(capsys, "schubert", "--n", "4", "--k", "1", "--r", "3",
-                             "--format", fmt)
-        assert code == 3 and out == ""
-        assert err.startswith("error:permutation-word:") and err.count("\n") == 1
 
 
 def test_schubert_internal_value_error_exits_3(capsys, monkeypatch):

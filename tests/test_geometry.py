@@ -9,7 +9,6 @@ from symsyz.geometry import (
     NotInOppositeCellError,
     OppositeCellPoint,
     _minor_det_unitriangular,
-    cell_cuts,
     cell_matrix,
     desing_data,
     free_positions,
@@ -25,7 +24,7 @@ from symsyz.geometry import (
 )
 from symsyz import verify
 from symsyz.verify import all_parameters, random_symplectic
-from symsyz.weyl import family_element, length_C
+from symsyz.weyl import cell_cuts, family_element, length_C
 
 
 def test_symplectic_form_shape():

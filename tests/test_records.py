@@ -1,7 +1,9 @@
 """The records of the package are NamedTuples (BettiTable, with its two
 mutable dicts, a small slotted class): importing the CLI does not load
-`dataclasses`, the validating constructors refuse what they always did, and
-the reprs that doctests and error lines print keep their text."""
+`dataclasses`, the validating constructor of QDominantWeight normalises and
+refuses what it always did (OppositeCellPoint's checks are tested with the
+geometry), and the reprs that doctests and error lines print keep their
+text. Weyl-group elements are plain words, not records: see test_weyl.py."""
 
 import os
 import subprocess
@@ -12,7 +14,6 @@ import pytest
 
 from symsyz.bott import CohomologyAnswer, QDominantWeight, bott
 from symsyz.resolution import BettiTable, ConsistencyReport, resolve
-from symsyz.weyl import ParabolicMarker, WeylElementC
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -32,20 +33,16 @@ def test_cli_import_skips_dataclasses_and_its_imports():
 
 def test_validating_constructors_normalise_and_refuse():
     assert QDominantWeight(3, 1, [5.0, 2, 0]).entries == (5, 2, 0)
-    assert ParabolicMarker([3, 1, 3]).omitted == (1, 3)
-    with pytest.raises(ValueError, match="simple-root indices start at 1"):
-        ParabolicMarker((0, 2))
-    assert WeylElementC(2, [4, 2]).half_word == (4, 2)
-    with pytest.raises(ValueError, match="half word must have length 2"):
-        WeylElementC(2, (1,))
+    with pytest.raises(ValueError, match="weight must have 3 entries"):
+        QDominantWeight(3, 1, (1, 0))
+    with pytest.raises(ValueError, match="not dominant for cut 1"):
+        QDominantWeight(3, 1, (5, 0, 2))
 
 
 def test_record_reprs_and_equality():
     assert repr(QDominantWeight(2, 1, (0, 0))) == "QDominantWeight(n=2, m=1, entries=(0, 0))"
     assert repr(bott(QDominantWeight(2, 1, (1, 0)))) == (
         "CohomologyAnswer(zero=True, degree=None, label=None)")
-    assert repr(ParabolicMarker((2, 1))) == "ParabolicMarker(omitted=(1, 2))"
-    assert repr(WeylElementC(2, (4, 2))) == "WeylElementC(n=2, half_word=(4, 2))"
     assert repr(ConsistencyReport(True, 4)) == "ConsistencyReport(divisible=True, degree=4)"
     assert CohomologyAnswer(zero=True) == CohomologyAnswer(True, None, None)
     table = BettiTable()

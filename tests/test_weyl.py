@@ -1,19 +1,17 @@
 import itertools
+import math
 
 import pytest
 
 from symsyz.weyl import (
-    ParabolicMarker,
-    PermutationWordError,
-    WeylElementC,
     _transpositions_below,
     avoids_patterns,
+    cell_cuts,
+    check_type_c_word,
     family_element,
-    h_side_cuts,
     length_A,
     length_C,
     m_value,
-    sort_blocks,
     tangent_dim_at_id_C,
     w_max_rep,
     w_tilde_min_rep,
@@ -31,6 +29,11 @@ def all_params(n_max):
     ]
 
 
+def _mirror_closed(half, n):
+    # the type-C word whose first half is `half`
+    return tuple(half) + tuple(2 * n + 1 - a for a in reversed(half))
+
+
 def random_weyl_c(n, rng):
     values = list(range(1, 2 * n + 1))
     half = []
@@ -39,7 +42,15 @@ def random_weyl_c(n, rng):
         half.append(a)
         values.remove(a)
         values.remove(2 * n + 1 - a)
-    return WeylElementC(n, tuple(half))
+    return _mirror_closed(half, n)
+
+
+def type_c_words(n):
+    """Every element of W_C(n) as a word: a first half of n letters of 1..2n
+    holding no letter together with its mirror."""
+    for half in itertools.permutations(range(1, 2 * n + 1), n):
+        if not any(2 * n + 1 - a in half for a in half):
+            yield _mirror_closed(half, n)
 
 
 def test_length_A_examples():
@@ -55,20 +66,20 @@ def test_length_A_matches_reduced_words():
 
 
 def test_m_value_examples():
-    assert m_value(WeylElementC(3, (1, 2, 3))) == 0
-    assert m_value(WeylElementC(2, (4, 2))) == 1
+    assert m_value((1, 2, 3, 4, 5, 6)) == 0
+    assert m_value((4, 2, 3, 1)) == 1
     assert m_value(family_element(5, 2, 4)) == 3
 
 
 def test_length_C_examples():
-    assert length_C(WeylElementC(2, (1, 2))) == 0
-    assert length_C(WeylElementC(2, (4, 2))) == 3
+    assert length_C((1, 2, 3, 4)) == 0
+    assert length_C((4, 2, 3, 1)) == 3
     # simple reflections below the last one have length one
     for n in (2, 3, 4):
         for i in range(1, n):
             half = list(range(1, n + 1))
             half[i - 1], half[i] = half[i], half[i - 1]
-            assert length_C(WeylElementC(n, tuple(half))) == 1
+            assert length_C(_mirror_closed(half, n)) == 1
 
 
 def test_length_parity_random():
@@ -78,34 +89,62 @@ def test_length_parity_random():
     for _ in range(300):
         n = rng.randint(2, 6)
         w = random_weyl_c(n, rng)
-        total = length_A(w.full_word()) + m_value(w)
+        total = length_A(w) + m_value(w)
         assert total % 2 == 0
         assert length_C(w) == total // 2
 
 
 def test_weyl_element_validation():
-    with pytest.raises(ValueError):
-        WeylElementC(2, (1, 4))  # 1 and 4 are mirrors
-    with pytest.raises(ValueError):
-        WeylElementC(2, (1, 1))
-    with pytest.raises(ValueError):
-        WeylElementC(2, (5, 2))
+    assert check_type_c_word([2, 4, 1, 3]) == (2, 4, 1, 3)
+    assert check_type_c_word(()) == ()
+    with pytest.raises(ValueError, match="even length"):
+        check_type_c_word((1, 2, 3))
+    with pytest.raises(ValueError, match="not a permutation"):
+        check_type_c_word((1, 4, 1, 4))  # the letters 1 and 4 are mirrors
+    with pytest.raises(ValueError, match="not a permutation"):
+        check_type_c_word((5, 2, 3, 0))
+    with pytest.raises(ValueError, match="not mirror-symmetric"):
+        check_type_c_word((1, 2, 4, 3))
+
+
+def test_check_type_c_word_accepts_exactly_w_c():
+    # among all of S_2n, the accepted words are the 2^n n! elements of W_C(n)
+    for n in range(1, 5):
+        accepted = []
+        for word in itertools.permutations(range(1, 2 * n + 1)):
+            try:
+                accepted.append(check_type_c_word(word))
+            except ValueError:
+                pass
+        assert accepted == sorted(type_c_words(n)), n
+        assert len(accepted) == 2 ** n * math.factorial(n)
 
 
 def test_family_element_examples():
-    assert family_element(5, 2, 4).half_word == (3, 4, 6, 9, 10)
-    assert family_element(2, 1, 2).half_word == (2, 4)
-    assert family_element(3, 1, 2).half_word == (2, 4, 6)
+    assert family_element(5, 2, 4) == (3, 4, 6, 9, 10, 1, 2, 5, 7, 8)
+    assert family_element(2, 1, 2) == (2, 4, 1, 3)
+    assert family_element(3, 1, 2) == (2, 4, 6, 1, 3, 5)
+    for n, k, r in all_params(6):
+        assert check_type_c_word(family_element(n, k, r)) == family_element(n, k, r)
     with pytest.raises(ValueError):
         family_element(3, 2, 2)
 
 
 def test_w_tilde_examples():
     w = family_element(5, 2, 4)
-    tilde = w_tilde_min_rep(w, ParabolicMarker((2, 5)))
-    assert tilde.full_word() == (3, 4, 6, 9, 10, 1, 2, 5, 7, 8)
-    ident = WeylElementC(3, (1, 2, 3))
-    assert w_tilde_min_rep(ident, ParabolicMarker((1, 3))).full_word() == tuple(range(1, 7))
+    assert w_tilde_min_rep(w, cell_cuts(5, 2, 4)) == (3, 4, 6, 9, 10, 1, 2, 5, 7, 8)
+    assert w_tilde_min_rep(tuple(range(1, 7)), (1, 3, 5)) == tuple(range(1, 7))
+    assert w_tilde_min_rep((2, 1, 3, 4, 6, 5), (2, 4)) == tuple(range(1, 7))
+    assert w_tilde_min_rep(tuple(range(6, 0, -1)), (1, 3, 5)) == (6, 4, 5, 2, 3, 1)
+    assert w_tilde_min_rep((2, 4, 1, 3), ()) == (1, 2, 3, 4)
+
+
+def test_w_tilde_refuses_cuts_that_are_not_mirror_closed():
+    # the block (4, 1, 3) sorts to (1, 3, 4): the word (2, 1, 3, 4) is not type C
+    with pytest.raises(ValueError, match="not mirror-symmetric"):
+        w_tilde_min_rep((2, 4, 1, 3), (1,))
+    with pytest.raises(ValueError, match="not mirror-symmetric"):
+        w_tilde_min_rep((1, 2, 4, 3), (1, 3))
 
 
 def test_w_max_examples():
@@ -115,10 +154,9 @@ def test_w_max_examples():
 
 def test_w_max_block_sort_recovers_w_tilde():
     for n, k, r in all_params(6):
-        marker = ParabolicMarker((r - k, n))
-        cuts = h_side_cuts(marker, n)
-        tilde = w_tilde_min_rep(family_element(n, k, r), marker)
-        assert sort_blocks(w_max_rep(n, k, r), cuts) == tilde.full_word()
+        cuts = cell_cuts(n, k, r)
+        tilde = w_tilde_min_rep(family_element(n, k, r), cuts)
+        assert w_tilde_min_rep(w_max_rep(n, k, r), cuts) == tilde
 
 
 def test_avoids_patterns_examples():
@@ -158,7 +196,7 @@ def test_tangent_dim_type_a_examples():
 
 
 def test_tangent_dim_type_c_identity():
-    assert tangent_dim_at_id_C(WeylElementC(3, (1, 2, 3))) == 0
+    assert tangent_dim_at_id_C((1, 2, 3, 4, 5, 6)) == 0
 
 
 def _transpositions_below_by_bruhat(word):
@@ -168,9 +206,9 @@ def _transpositions_below_by_bruhat(word):
             if bruhat_leq(transposition(size, a, b), word)]
 
 
-def _tangent_dim_c_by_bruhat(w):
-    below = _transpositions_below_by_bruhat(w.full_word())
-    total = len(below) + sum(1 for a, b in below if a + b == 2 * w.n + 1)
+def _tangent_dim_c_by_bruhat(word):
+    below = _transpositions_below_by_bruhat(word)
+    total = len(below) + sum(1 for a, b in below if a + b == len(word) + 1)
     assert total % 2 == 0
     return total // 2
 
@@ -193,12 +231,9 @@ def test_transpositions_below_match_bruhat_on_all_of_s_n():
 def test_tangent_dim_type_c_matches_bruhat_on_all_of_w_c():
     elements = singular = 0
     for n in range(1, 5):
-        for half in itertools.permutations(range(1, 2 * n + 1), n):
-            if any(2 * n + 1 - a in half for a in half):
-                continue
-            w = WeylElementC(n, half)
+        for w in type_c_words(n):
             tangent = tangent_dim_at_id_C(w)
-            assert tangent == _tangent_dim_c_by_bruhat(w), half
+            assert tangent == _tangent_dim_c_by_bruhat(w), w
             elements += 1
             singular += tangent > length_C(w)
     assert elements == 2 + 8 + 48 + 384
@@ -208,9 +243,8 @@ def test_tangent_dim_type_c_matches_bruhat_on_all_of_w_c():
 def test_w_max_smoothness_all_params():
     for n, k, r in all_params(8):
         word = w_max_rep(n, k, r)
-        wmax = WeylElementC.from_full_word(word)
         assert _transpositions_below(word) == _transpositions_below_by_bruhat(word), (n, k, r)
-        assert tangent_dim_at_id_C(wmax) == _tangent_dim_c_by_bruhat(wmax) == length_C(wmax), \
+        assert tangent_dim_at_id_C(word) == _tangent_dim_c_by_bruhat(word) == length_C(word), \
             (n, k, r)
 
 
@@ -234,16 +268,6 @@ def test_reflection_vanishing_criterion_at_first_cut():
 
 def test_w_tilde_small_symplectic_case():
     # block-sorting oracle on the (2,4) element of the rank-two group
-    w = WeylElementC(2, (2, 4))
-    tilde = w_tilde_min_rep(w, ParabolicMarker((1, 2)))
-    full = w.full_word()
-    expected = tuple(sorted(full[:1]) + sorted(full[1:2]) + sorted(full[2:3]) + sorted(full[3:]))
-    assert tilde.full_word() == expected == (2, 4, 1, 3)
-
-
-def test_full_word_checks_it_is_a_permutation():
-    w = WeylElementC(2, (1, 3))
-    assert w.full_word() == (1, 3, 2, 4)
-    w = WeylElementC._make((2, (1, 1)))  # a state the constructor refuses; _make skips it
-    with pytest.raises(PermutationWordError):
-        w.full_word()
+    w = (2, 4, 1, 3)
+    expected = tuple(sorted(w[:1]) + sorted(w[1:2]) + sorted(w[2:3]) + sorted(w[3:]))
+    assert w_tilde_min_rep(w, (1, 2, 3)) == expected == (2, 4, 1, 3)
