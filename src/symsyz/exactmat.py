@@ -16,7 +16,7 @@ def zeros(rows: int, cols: int) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def antidiag(n: int) -> Matrix:
@@ -30,12 +30,6 @@ def from_rows(rows) -> Matrix:
 
 def shape(m: Matrix) -> tuple[int, int]:
     return len(m), len(m[0]) if m else 0
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return shape(a) == shape(b) and all(
-        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-    )
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -53,6 +47,18 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if den == 1:
         return [[sum(map(mul, row, col)) for col in ib] for row in ia]
     return [[_exact(sum(map(mul, row, col)), den) for col in ib] for row in ia]
+
+
+def mat_mul_equals(a: Matrix, b: Matrix, target: Matrix) -> bool:
+    """a * b == target, decided on integer numerators: with a = A/da,
+    b = B/db and target = T/dt, it tests A B dt == T da db entry by entry,
+    so no Fraction is built."""
+    if shape(a)[1] != len(b):
+        raise ValueError(f"shape mismatch: {shape(a)} * {shape(b)}")
+    (ia, da), (ib, db), (it, dt) = _scaled(a), _scaled(transpose(b)), _scaled(target)
+    return shape(target) == (len(a), shape(b)[1]) and all(
+        sum(map(mul, row, col)) * dt == t * da * db
+        for row, t_row in zip(ia, it) for col, t in zip(ib, t_row))
 
 
 def _exact(num: int, den: int):
@@ -77,10 +83,6 @@ def _scaled(m: Matrix) -> tuple[list[list[int]], int]:
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_neg(a: Matrix) -> Matrix:
-    return [[-x for x in row] for row in a]
 
 
 def is_symmetric(m: Matrix) -> bool:

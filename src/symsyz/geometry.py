@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from . import exactmat as em
@@ -30,15 +31,12 @@ def _freeze(m) -> tuple:
     return tuple(tuple(row) for row in m)
 
 
-def symplectic_form(n: int):
-    """F = [[0, J], [-J, 0]]."""
-    j = em.antidiag(n)
-    return em.block2(em.zeros(n, n), j, em.mat_neg(j), em.zeros(n, n))
-
-
 def is_symplectic(m: em.Matrix) -> bool:
-    """Check Z^T F Z == F exactly for the 2n-by-2n matrix Z = m. In blocks
-    this is A^T J D = D^T J A, C^T J E = E^T J C and A^T J E - D^T J C = J.
+    """Check Z^T F Z == F exactly for the 2n-by-2n matrix Z = m (in blocks,
+    A^T J D = D^T J A, C^T J E = E^T J C and A^T J E - D^T J C = J), as
+    M^T (F M) == d^2 F in integers for Z = M/d. F M is M's rows in reverse
+    order with the last n of them negated. Both sides are antisymmetric, so
+    only the entries above the diagonal are compared.
 
     >>> is_symplectic(em.identity(4))
     True
@@ -47,10 +45,11 @@ def is_symplectic(m: em.Matrix) -> bool:
     if rows != cols or rows % 2:
         raise ValueError("need a square matrix of even size")
     n = rows // 2
-    # F = [[0, J], [-J, 0]] permutes and signs rows: F Z is Z's rows in
-    # reverse order with the last n of them negated
-    fz = m[:n - 1:-1] + [[-x for x in row] for row in m[n - 1::-1]]
-    return em.mat_eq(em.mat_mul(em.transpose(m), fz), symplectic_form(n))
+    ints, den = em._scaled(m)
+    f_rows = ints[:n - 1:-1] + [[-x for x in row] for row in ints[n - 1::-1]]
+    columns, f_columns = list(zip(*ints)), list(zip(*f_rows))
+    return all(sum(map(mul, columns[i], f_columns[j])) == (den * den if i + j == rows - 1 else 0)
+               for i in range(rows) for j in range(i + 1, rows))
 
 
 class NotInOppositeCellError(ValueError):
@@ -74,17 +73,17 @@ def opposite_cell_factor(m: em.Matrix) -> tuple[em.Matrix, em.Matrix]:
         raise ValueError("matrix is not symplectic")
     n = len(m) // 2
     a, c, d, e = em.split4(m, n, n)
-    j = em.antidiag(n)
     try:
         a_inv = em.inverse(a)
     except ValueError:
         raise NotInOppositeCellError("upper-left block is singular") from None
     da_inv = em.mat_mul(d, a_inv)
-    # J(DA^{-1}) must be symmetric, and A^T J (E - DA^{-1}C) must equal J
-    if not em.mat_eq(em.mat_mul(j, da_inv), em.mat_mul(em.transpose(da_inv), j)):
+    # J(DA^{-1}) must be symmetric, and A^T J (E - DA^{-1}C) must equal J;
+    # J X is X with its rows reversed, entrywise (J X)[i][j] = X[n-1-i][j]
+    if any(da_inv[n - 1 - i][j] != da_inv[n - 1 - j][i] for i in range(n) for j in range(i)):
         raise ValueError("factorisation identity for the unipotent part fails")
     schur = em.mat_sub(e, em.mat_mul(da_inv, c))
-    if not em.mat_eq(em.mat_mul(em.transpose(a), em.mat_mul(j, schur)), j):
+    if not em.mat_mul_equals(em.transpose(a), schur[::-1], em.antidiag(n)):
         raise ValueError("factorisation identity for the parabolic part fails")
     z1 = em.block2(em.identity(n), em.zeros(n, n), da_inv, em.identity(n))
     z2 = em.block2(a, c, em.zeros(n, n), schur)
@@ -110,40 +109,33 @@ def free_positions(n: int, k: int, r: int) -> tuple[tuple[int, int], ...]:
 def random_cell_point(n: int, k: int, r: int, rng: random.Random) -> dict[tuple[int, int], int]:
     """Random integer coordinates in [-CELL_POINT_BOUND, CELL_POINT_BOUND] on
     the free positions."""
-    return {
-        pos: rng.randint(-CELL_POINT_BOUND, CELL_POINT_BOUND)
-        for pos in free_positions(n, k, r)
-    }
+    values = range(-CELL_POINT_BOUND, CELL_POINT_BOUND + 1)  # randint's draws, at half the cost
+    return {pos: rng.choice(values) for pos in free_positions(n, k, r)}
 
 
 def cell_matrix(n: int, k: int, r: int, point: dict) -> em.Matrix:
     """Assemble the lower unidiagonal 2n-by-2n matrix of a cell point. The
     entries are the point's own exact values, so an integer point gives an
     integer matrix and its minors stay in integer arithmetic."""
-    free = free_positions(n, k, r)
-    m = [[int(a == b) for b in range(2 * n)] for a in range(2 * n)]
+    if stray := point.keys() - set(free_positions(n, k, r)):
+        raise ValueError(f"position {min(stray)} is not free for {(n, k, r)}")
+    m = em.identity(2 * n)
     for (i, j), value in point.items():
-        if (i, j) not in free:
-            raise ValueError(f"position {(i, j)} is not free for {(n, k, r)}")
         m[i - 1][j - 1] = value
     return m
 
 
-def _minor_det_unitriangular(m: em.Matrix, l: int, i: int, j: int):
-    """Determinant of the minor with rows {1..l} \\ {j} + {i}, columns 1..l,
-    for a lower unidiagonal matrix: reduce the extra row against the unit
-    pivots and read off the surviving entry, with the column sign."""
-    v = [m[i - 1][c] for c in range(l)]
-    for s in range(l, 0, -1):
-        if s == j:
-            continue
-        coeff = v[s - 1]
-        if coeff:
-            v[s - 1] = 0
-            for c in range(s - 1):
-                v[c] -= coeff * m[s - 1][c]
-    sign = -1 if (l - j) % 2 else 1
-    return sign * v[j - 1]
+def _row_minors(m: em.Matrix, cut: int, i: int) -> list:
+    """The minors with rows {1..cut} \\ {j} + {i} and columns 1..cut of a
+    lower unidiagonal matrix, for j = 1..cut (list index j - 1). One
+    back-substitution solves y L = (row i) over the unit lower triangular
+    top-left block L; with det L = 1, Cramer's rule gives minor j as
+    (-1)^(cut-j) y_j."""
+    y = m[i - 1][:cut]
+    for s in range(cut - 1, 0, -1):
+        if coeff := y[s]:
+            y[:s] = [v - coeff * x for v, x in zip(y[:s], m[s])]
+    return [-v if (cut - j) % 2 else v for j, v in enumerate(y, 1)]
 
 
 def _minor_det_bareiss(m: em.Matrix, l: int, i: int, j: int):
@@ -159,28 +151,29 @@ def plucker_restriction(n: int, k: int, r: int, matrix: em.Matrix,
     must equal the closed form for the range exactly. Returns the number of
     pairs checked, l(2n - r) + 2 l(n - l).
 
-    Ranges: (i > r, j <= l) uses the first cut; (i > big, j in the third or
-    second column band) use the last cut. The closed forms read coordinates
-    below the diagonal, which are the matrix entries there.
+    Ranges: (i > r, j <= l) uses the first cut; (i > big, j in the second
+    or third column band) use the last cut. One row solve gives every minor
+    of a row. The closed forms read coordinates below the diagonal, which
+    are the matrix entries there.
     """
     l, mid, big = cell_cuts(n, k, r)
-    x = lambda a, b: matrix[a - 1][b - 1]
     ranges = (
         (l, range(r + 1, 2 * n + 1), range(1, l + 1)),
-        (big, range(big + 1, 2 * n + 1), range(mid + 1, big + 1)),
-        (big, range(big + 1, 2 * n + 1), range(l + 1, mid + 1)),
+        (big, range(big + 1, 2 * n + 1), range(l + 1, big + 1)),
     )
     checked = 0
     for cut, rows, cols in ranges:
         for i in rows:
+            row, minors = matrix[i - 1], _row_minors(matrix, cut, i)
             for j in cols:
-                closed = x(i, j)
+                closed = row[j - 1]
                 if l < j <= mid:
                     # the subtracted product pairs the tail of row i (columns
                     # n+1..big) with the column of the middle block above it
-                    closed -= sum(x(i, n + s) * x(n + s, j) for s in range(1, n - l + 1))
-                closed *= (-1) ** (cut - j)
-                minor = _minor_det_unitriangular(matrix, cut, i, j)
+                    closed -= sum(row[s] * matrix[s][j - 1] for s in range(n, big))
+                if (cut - j) % 2:
+                    closed = -closed
+                minor = minors[j - 1]
                 if cross_check and minor != (bareiss := _minor_det_bareiss(matrix, cut, i, j)):
                     raise PluckerMismatch(
                         f"minor/Bareiss mismatch at {(n, k, r, i, j)}: {minor} != {bareiss}"
@@ -302,7 +295,8 @@ def random_symplectic_cell_point(n: int, k: int, r: int, rng: random.Random) -> 
     copies it instead of drawing."""
     l = cell_cuts(n, k, r)[0]
     q = n - l
-    draw = lambda: rng.randint(-SYMPLECTIC_POINT_BOUND, SYMPLECTIC_POINT_BOUND)
+    values = range(-SYMPLECTIC_POINT_BOUND, SYMPLECTIC_POINT_BOUND + 1)
+    draw = lambda: rng.choice(values)  # randint's draws, at half the cost
     a_prime = [[draw() for _ in range(l)] if i < r - l else [0] * l for i in range(q)]
     d2 = [[0] * q for _ in range(q)]
     for s in range(q):
@@ -383,8 +377,7 @@ class OppositeCellPoint(_CellBlocks):
 
 def _paste(m: em.Matrix, block: em.Matrix, row0: int, col0: int) -> None:
     for i, row in enumerate(block):
-        for j, value in enumerate(row):
-            m[row0 + i][col0 + j] = value
+        m[row0 + i][col0:col0 + len(row)] = row
 
 
 def product_identification(n: int, k: int, r: int, matrix) -> tuple[em.Matrix, em.Matrix]:

@@ -77,31 +77,30 @@ def plucker_suite(seed: int, n_max: int = 5, points_per_case: int = 200) -> Suit
 
 def random_symplectic(n: int, rng: random.Random) -> em.Matrix:
     """Random symplectic matrix with invertible upper-left block, built as
-    (lower unipotent) * (parabolic) from integer draws in
-    [-SYMPLECTIC_BOUND, SYMPLECTIC_BOUND]."""
-    j = em.antidiag(n)
+    (lower unipotent) * (parabolic) = [[I, 0], [J s1, I]] * [[a, c], [0, e]]
+    from integer draws in [-SYMPLECTIC_BOUND, SYMPLECTIC_BOUND], with
+    c = a J s2 and e = J a^-T J. The product is assembled from its blocks,
+    [[a, c], [J s1 a, J s1 c + e]]; a product with J reverses rows."""
+    values = range(-SYMPLECTIC_BOUND, SYMPLECTIC_BOUND + 1)  # randint's draws, at half the cost
     while True:
-        a = [[rng.randint(-SYMPLECTIC_BOUND, SYMPLECTIC_BOUND) for _ in range(n)]
-             for _ in range(n)]
+        a = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
         try:
             a_inv = em.inverse(a)
             break
         except ValueError:
             continue
-    s1 = _random_symmetric(n, rng)
-    s2 = _random_symmetric(n, rng)
-    z1 = em.block2(em.identity(n), em.zeros(n, n), em.mat_mul(j, s1), em.identity(n))
-    e = em.mat_mul(j, em.mat_mul(em.transpose(a_inv), j))
-    c = em.mat_mul(a, em.mat_mul(j, s2))
-    z2 = em.block2(a, c, em.zeros(n, n), e)
-    return em.mat_mul(z1, z2)
+    j_s1 = _random_symmetric(n, values, rng)[::-1]
+    c = em.mat_mul(a, _random_symmetric(n, values, rng)[::-1])
+    e = [[a_inv[n - 1 - t][n - 1 - s] for t in range(n)] for s in range(n)]
+    corner = [[x + y for x, y in zip(row, e_row)] for row, e_row in zip(em.mat_mul(j_s1, c), e)]
+    return em.block2(a, c, em.mat_mul(j_s1, a), corner)
 
 
-def _random_symmetric(n: int, rng: random.Random) -> em.Matrix:
+def _random_symmetric(n: int, values: range, rng: random.Random) -> em.Matrix:
     m = em.zeros(n, n)
     for i in range(n):
         for j in range(i, n):
-            m[i][j] = m[j][i] = rng.randint(-SYMPLECTIC_BOUND, SYMPLECTIC_BOUND)
+            m[i][j] = m[j][i] = rng.choice(values)
     return m
 
 
@@ -115,7 +114,7 @@ def factorization_suite(seed: int, count: int = 200) -> SuiteResult:
             z1, z2 = opposite_cell_factor(z)
         except ValueError as exc:
             return SuiteResult("factorization", False, f"{exc} at n={n}")
-        if not em.mat_eq(em.mat_mul(z1, z2), z):
+        if not em.mat_mul_equals(z1, z2, z):
             return SuiteResult("factorization", False, "recomposition mismatch")
         if not is_symplectic(z2):
             return SuiteResult("factorization", False, "parabolic factor not symplectic")
@@ -204,12 +203,12 @@ def weyl_suite(n_max: int = 6) -> SuiteResult:
         for r in range(2, n + 1):
             for k in range(1, r):
                 wmax = w_max_rep(n, k, r)
-                if not avoids_patterns(wmax, [(4, 2, 3, 1), (3, 1, 4, 2)]):
+                if not avoids_patterns(wmax):
                     return SuiteResult("weyl", False, f"pattern occurs at {(n, k, r)}")
                 if tangent_dim_at_id_C(wmax) != length_C(wmax):
                     return SuiteResult("weyl", False, f"tangent != length at {(n, k, r)}")
-                cuts = cell_cuts(n, k, r)
-                if w_tilde_min_rep(family_element(n, k, r), cuts) != w_tilde_min_rep(wmax, cuts):
+                # the family element is its own minimal coset representative
+                if family_element(n, k, r) != w_tilde_min_rep(wmax, cell_cuts(n, k, r)):
                     return SuiteResult("weyl", False, f"coset reps disagree at {(n, k, r)}")
     expected = (3, 4, 6, 9, 10, 1, 2, 5, 7, 8)
     got = w_tilde_min_rep(family_element(5, 2, 4), cell_cuts(5, 2, 4))

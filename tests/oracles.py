@@ -10,8 +10,9 @@ formulations of Bott's sorting algorithm (the rho-shift sort
 `bott_by_rho`, and the exchange loop `bott_by_exchange`, which swaps one
 adjacent ascent at a time), the enlarged-base Betti table summand by
 summand through `bott_by_rho`, Gaussian elimination over Q that rescans
-every reduced row, Gauss-Jordan inversion in Fraction arithmetic, and a
-mod-p Koszul-homology computation of graded Betti numbers.
+every reduced row, Gauss-Jordan inversion in Fraction arithmetic, pattern
+containment by an exhaustive scan of subsequences, and a mod-p
+Koszul-homology computation of graded Betti numbers.
 """
 
 from __future__ import annotations
@@ -80,6 +81,25 @@ def bruhat_leq(u, v) -> bool:
     if len(u) != len(v):
         raise ValueError("permutations must have equal size")
     return all(bruhat_leq_grassmannian(u[:cut], v[:cut]) for cut in range(1, len(u)))
+
+
+def avoids_patterns_by_scan(word, patterns) -> bool:
+    """True iff no subsequence of word is order-isomorphic to any pattern:
+    an exhaustive scan of all C(len(word), len(pattern)) subsequences.
+
+    >>> avoids_patterns_by_scan((1, 2, 3, 4), [(4, 2, 3, 1)])
+    True
+    >>> avoids_patterns_by_scan((4, 2, 3, 1), [(4, 2, 3, 1)])
+    False
+    """
+    # distinct letters are order-isomorphic when they sort in the same order
+    orders: dict[int, set] = {}
+    for pattern in patterns:
+        orders.setdefault(len(pattern), set()).add(
+            tuple(sorted(range(len(pattern)), key=pattern.__getitem__)))
+    return not any(tuple(sorted(range(size), key=sub.__getitem__)) in found
+                   for size, found in orders.items()
+                   for sub in itertools.combinations(word, size))
 
 
 # -- Partitions, part by part -------------------------------------------------
@@ -406,6 +426,12 @@ def span_rank_by_scan(polys: list[dict]) -> tuple[int, list[int]]:
             reduced.append(p)
             kept.append(index)
     return len(reduced), kept
+
+
+def symplectic_form(n: int) -> list[list[int]]:
+    """F = [[0, J], [-J, 0]] of size 2n, J the antidiagonal of ones."""
+    return [[(1 if i < n else -1) * int(i + j == 2 * n - 1) for j in range(2 * n)]
+            for i in range(2 * n)]
 
 
 def fraction_inverse(m: list[list]) -> list[list[Fraction]]:

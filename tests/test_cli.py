@@ -10,10 +10,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from symsyz import cli, exactmat, geometry, partitions, resolution, verify, weyl
+from symsyz import cli, exactmat, partitions, resolution, verify, weyl
 from symsyz.bott import bott
 from symsyz.cli import MAX_SCHUBERT_N, MAX_WALK_LOG2, main
 
+from oracles import symplectic_form
 from test_perfbench_contract import _load_checks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -328,15 +329,24 @@ def test_resolve_refuses_oversized_walk_up_front(capsys, n):
     assert err.startswith("error:too-large:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("n", ["31", "1000000000000"])
+@pytest.mark.parametrize("n", ["61", "1000000000000"])
 def test_schubert_refuses_oversized_n_up_front(capsys, n):
-    # the pattern scan of w_max reads C(2n, 4) subsequences: n = 30 takes seconds
-    assert MAX_SCHUBERT_N == 30
+    # the cell pattern makes (r-k)(n-r+k)^2 polynomial products, cubic in n
+    assert MAX_SCHUBERT_N == 60
     start = time.perf_counter()
     code, out, err = run(capsys, "schubert", "--n", n, "--k", "1", "--r", "3")
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error:too-large:") and err.count("\n") == 1
+
+
+def test_schubert_accepts_its_cap(capsys):
+    # (60, 41, 60) makes about as many polynomial products as any (k, r) at n = 60
+    code, out, err = run(capsys, "schubert", "--n", "60", "--k", "41", "--r", "60",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["smooth_total_space"] is True and payload["pattern_avoiding"] is True
 
 
 def test_walk_size_boundary(capsys, monkeypatch):
@@ -490,12 +500,29 @@ def test_verify_rejected_product_point_is_a_fail_line(capsys, monkeypatch):
         drawn.append((n, k, r))
         if len(drawn) == 1:
             return real(n, k, r, rng)
-        return SimpleNamespace(matrix=lambda: geometry.symplectic_form(n))
+        return SimpleNamespace(matrix=lambda: symplectic_form(n))
 
     monkeypatch.setattr(verify, "random_symplectic_cell_point", generator)
     code, out, err = run(capsys, "verify", "--fast", "--suites", "product")
     assert code == 1 and err == "" and len(drawn) == 2
     assert out == "FAIL product: matrix does not satisfy the cell pattern at (2, 1, 2)\n"
+
+
+def test_verify_weyl_compares_the_family_element_itself(capsys, monkeypatch):
+    # a family element with two letters of its first block swapped (and
+    # their mirrors) block-sorts to the same word, yet it is not the block
+    # sort of w_max: the suite compares the element itself
+    real = verify.family_element
+
+    def swapped(n, k, r):
+        w = list(real(n, k, r))
+        if r - k >= 2:
+            w[0], w[1], w[-2], w[-1] = w[1], w[0], w[-1], w[-2]
+        return tuple(w)
+
+    monkeypatch.setattr(verify, "family_element", swapped)
+    code, out, err = run(capsys, "verify", "--fast", "--suites", "weyl")
+    assert (code, out, err) == (1, "FAIL weyl: coset reps disagree at (3, 1, 3)\n", "")
 
 
 def test_schubert_internal_value_error_exits_3(capsys, monkeypatch):
@@ -535,7 +562,7 @@ def test_resolve_zero_division_is_not_a_dimension_failure(capsys, monkeypatch):
 def test_verify_singular_factorization_sample_is_a_fail_line(capsys, monkeypatch):
     # F is symplectic with a singular upper-left block: the factorisation
     # refuses it, and the suite reports that as a FAIL line, not a traceback
-    monkeypatch.setattr(verify, "random_symplectic", lambda n, rng: geometry.symplectic_form(n))
+    monkeypatch.setattr(verify, "random_symplectic", lambda n, rng: symplectic_form(n))
     code, out, err = run(capsys, "verify", "--fast", "--suites", "factorization")
     assert code == 1 and err == ""
     assert out.startswith("FAIL factorization: upper-left block is singular at n=")

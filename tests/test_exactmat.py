@@ -50,6 +50,25 @@ def test_mat_mul_against_fraction_arithmetic(rational):
 
 
 @pytest.mark.parametrize("rational", [False, True])
+def test_mat_mul_equals_against_fraction_arithmetic(rational):
+    # the true product, a copy with one entry moved, and a wrong shape
+    rng = random.Random(f"mul_equals:{rational}")
+    for _ in range(200):
+        rows, inner, cols = (rng.randint(1, 5) for _ in range(3))
+        a = _random_matrix(rng, rows, inner, rational)
+        b = _random_matrix(rng, inner, cols, rational and rng.random() < 0.5)
+        product = _naive_mul(a, b)
+        assert em.mat_mul_equals(a, b, product)
+        moved = [list(row) for row in product]
+        moved[rng.randrange(rows)][rng.randrange(cols)] += rng.choice((1, -1, Fraction(1, 7)))
+        assert not em.mat_mul_equals(a, b, moved)
+        assert not em.mat_mul_equals(a, b, [row + [0] for row in product])
+        assert not em.mat_mul_equals(a, b, product[:-1])
+    with pytest.raises(ValueError):
+        em.mat_mul_equals([[1, 2]], [[1, 2]], [[1, 2]])
+
+
+@pytest.mark.parametrize("rational", [False, True])
 def test_det_bareiss_against_leibniz(rational):
     rng = random.Random(f"det:{rational}")
     for _ in range(200):

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -6,9 +7,10 @@ import pytest
 
 from symsyz import exactmat as em
 from symsyz.geometry import (
+    CELL_POINT_BOUND,
     NotInOppositeCellError,
     OppositeCellPoint,
-    _minor_det_unitriangular,
+    _row_minors,
     cell_matrix,
     desing_data,
     free_positions,
@@ -20,17 +22,18 @@ from symsyz.geometry import (
     product_identification_inverse,
     random_cell_point,
     random_symplectic_cell_point,
-    symplectic_form,
 )
 from symsyz import verify
-from symsyz.verify import all_parameters, random_symplectic
+from symsyz.verify import SYMPLECTIC_BOUND, all_parameters, random_symplectic
 from symsyz.weyl import cell_cuts, family_element, length_C
+
+from oracles import symplectic_form
 
 
 def test_symplectic_form_shape():
     f = symplectic_form(3)
     ft = em.transpose(f)
-    assert em.mat_eq(ft, em.mat_neg(f))
+    assert ft == [[-x for x in row] for row in f]
     em.inverse(f)  # invertible
 
 
@@ -79,7 +82,7 @@ def test_is_symplectic_against_the_product_by_the_form():
             perturbed = em.from_rows(z)
             perturbed[rng.randrange(2 * n)][rng.randrange(2 * n)] += rng.choice((1, -1, Fraction(1, 2)))
             for m in (z, perturbed):
-                expected = em.mat_eq(em.mat_mul(em.transpose(m), em.mat_mul(f, m)), f)
+                expected = em.mat_mul(em.transpose(m), em.mat_mul(f, m)) == f
                 assert is_symplectic(m) == expected
             assert is_symplectic(z)
 
@@ -90,15 +93,15 @@ def test_factorization_identity_and_errors():
         n = rng.choice((2, 3, 4))
         z = random_symplectic(n, rng)
         z1, z2 = opposite_cell_factor(z)
-        assert em.mat_eq(em.mat_mul(z1, z2), z)
+        assert em.mat_mul(z1, z2) == z
         f = symplectic_form(n)
-        assert em.mat_eq(em.mat_mul(em.transpose(z2), em.mat_mul(f, z2)), f)
+        assert em.mat_mul(em.transpose(z2), em.mat_mul(f, z2)) == f
         # z1 is lower unipotent with persymmetric corner
         a, c, y, e = em.split4(z1, n, n)
         assert a == e == em.identity(n) and c == em.zeros(n, n)
         assert em.is_symmetric(em.mat_mul(em.antidiag(n), y))
     z1, z2 = opposite_cell_factor(em.identity(4))
-    assert em.mat_eq(z1, em.identity(4)) and em.mat_eq(z2, em.identity(4))
+    assert z1 == em.identity(4) and z2 == em.identity(4)
     with pytest.raises(NotInOppositeCellError):
         opposite_cell_factor(symplectic_form(2))
     for bad_shape in ([[1, 0, 0]] * 3, [[1, 0]] * 3):
@@ -106,6 +109,20 @@ def test_factorization_identity_and_errors():
             is_symplectic(bad_shape)
         with pytest.raises(ValueError):
             opposite_cell_factor(bad_shape)
+
+
+def test_factorization_identities_refuse_non_symplectic_blocks(monkeypatch):
+    # with the symplectic check bypassed, each identity refuses the block it
+    # checks: J D A^-1 not symmetric, then A^T J (E - D A^-1 C) = 2J, not J
+    monkeypatch.setattr("symsyz.geometry.is_symplectic", lambda m: True)
+    one, zero = em.identity(2), em.zeros(2, 2)
+    with pytest.raises(ValueError, match="unipotent part fails"):
+        opposite_cell_factor(em.block2(one, zero, [[1, 0], [0, 0]], one))
+    for e in ([[2, 0], [0, 2]], [[Fraction(1, 2), 0], [0, 2]]):
+        with pytest.raises(ValueError, match="parabolic part fails"):
+            opposite_cell_factor(em.block2(one, zero, zero, e))
+    z1, z2 = opposite_cell_factor(em.block2(one, zero, [[1, 0], [0, 1]], one))
+    assert z1 == em.block2(one, zero, one, one) and z2 == em.identity(4)
 
 
 def test_free_positions_count():
@@ -119,6 +136,16 @@ def test_free_positions_count():
     assert len(free_positions(n, k, r)) == count
 
 
+def test_cell_matrix_refuses_positions_that_are_not_free():
+    n, k, r = 3, 1, 2
+    point = {pos: 1 for pos in free_positions(n, k, r)}
+    assert cell_matrix(n, k, r, point)[1][0] == 1
+    for stray in ((1, 1), (2, 3), (3, 2)):  # on and above the diagonal, inside a block
+        assert stray not in free_positions(n, k, r)
+        with pytest.raises(ValueError, match=re.escape(f"position {stray} is not free")):
+            cell_matrix(n, k, r, {**point, stray: 1})
+
+
 def test_plucker_zero_point():
     n, k, r = 5, 2, 4
     l = r - k
@@ -126,8 +153,7 @@ def test_plucker_zero_point():
     assert zero == em.identity(2 * n)
     assert plucker_restriction(n, k, r, zero, cross_check=True) == l * (2 * n - r) + 2 * l * (n - l)
     for i in range(r + 1, 2 * n + 1):
-        for j in range(1, l + 1):
-            assert _minor_det_unitriangular(zero, l, i, j) == 0
+        assert _row_minors(zero, l, i) == [0] * l
 
 
 def test_plucker_identities_random():
@@ -141,9 +167,63 @@ def test_plucker_identities_random():
             assert checked == l * (2 * n - r) + 2 * l * (n - l), (n, k, r)
             # the first closed form read off the point itself, not the matrix
             for i in range(r + 1, 2 * n + 1):
+                minors = _row_minors(matrix, l, i)
                 for j in range(1, l + 1):
-                    minor = _minor_det_unitriangular(matrix, l, i, j)
-                    assert minor == (-1) ** (l - j) * point[(i, j)]
+                    assert minors[j - 1] == (-1) ** (l - j) * point[(i, j)]
+
+
+def test_row_minors_match_bareiss():
+    """Every minor one row solve gives, at each of the three cuts, against
+    the Bareiss determinant of the rows {1..cut} \\ {j} + {i}."""
+    rng = random.Random("row minors")
+    for n, k, r in all_parameters(4):
+        for _ in range(3):
+            matrix = cell_matrix(n, k, r, random_cell_point(n, k, r, rng))
+            for cut in cell_cuts(n, k, r):
+                for i in range(cut + 1, 2 * n + 1):
+                    minors = _row_minors(matrix, cut, i)
+                    assert len(minors) == cut
+                    for j in range(1, cut + 1):
+                        rows = [s for s in range(1, cut + 1) if s != j] + [i]
+                        expected = em.det_bareiss([matrix[s - 1][:cut] for s in rows])
+                        assert minors[j - 1] == expected, (n, k, r, cut, i, j)
+
+
+def test_draws_match_a_randint_reference():
+    """rng.choice over the value range makes the draws randint makes: the
+    same cell points and the same symplectic matrices (the symplectic cell
+    points are held to randint by test_block_form_draws_the_pattern_point)."""
+    for n, k, r in all_parameters(5):
+        rng = random.Random(f"draws:{n}:{k}:{r}")
+        reference = random.Random(f"draws:{n}:{k}:{r}")
+        point = random_cell_point(n, k, r, rng)
+        assert point == {pos: reference.randint(-CELL_POINT_BOUND, CELL_POINT_BOUND)
+                         for pos in free_positions(n, k, r)}
+        assert rng.getstate() == reference.getstate()
+    bound = SYMPLECTIC_BOUND
+    for n in range(1, 6):
+        rng, reference = random.Random(n), random.Random(n)
+        z = random_symplectic(n, rng)
+        while True:
+            a = [[reference.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            try:
+                a_inv = em.inverse(a)
+                break
+            except ValueError:
+                continue
+        s1, s2 = em.zeros(n, n), em.zeros(n, n)
+        for s in (s1, s2):
+            for i in range(n):
+                for j in range(i, n):
+                    s[i][j] = s[j][i] = reference.randint(-bound, bound)
+        j = em.antidiag(n)
+        z1 = em.block2(em.identity(n), em.zeros(n, n), em.mat_mul(j, s1), em.identity(n))
+        e = em.mat_mul(j, em.mat_mul(em.transpose(a_inv), j))
+        z2 = em.block2(a, em.mat_mul(a, em.mat_mul(j, s2)), em.zeros(n, n), e)
+        assert z == em.mat_mul(z1, z2), n
+        assert [[type(x) for x in row] for row in z] == \
+            [[type(x) for x in row] for row in em.mat_mul(z1, z2)], n
+        assert rng.getstate() == reference.getstate()
 
 
 def test_pattern_example_entry():
@@ -190,7 +270,7 @@ def test_product_identification_examples():
     n, k, r = 2, 1, 2
     zero = OppositeCellPoint(n, k, r, [[0]], [[0]]).matrix()
     sym, base = product_identification(n, k, r, zero)
-    assert em.mat_eq(sym, em.zeros(2, 2))
+    assert sym == em.zeros(2, 2)
     # one-parameter family: V_w is one-dimensional
     assert desing_data(2, 1, 2).fibre_dim == len(_fibre_slice_positions(2, 1, 2)) == 1
     rng = random.Random(13)
@@ -205,7 +285,7 @@ def test_product_identification_examples():
                        if min(i, j) < l), (n, k, r)
             back = product_identification_inverse(n, k, r, sym, base)
             assert back == point
-            assert em.mat_eq(back.matrix(), m)
+            assert back.matrix() == m
 
 
 def test_product_suite_assembles_each_point_twice(monkeypatch):
@@ -314,7 +394,7 @@ def test_minor_suite_rejects_miswired_product():
         matrix = cell_matrix(n, k, r, point)
         for i in range(big + 1, 2 * n + 1):
             for j in range(l + 1, mid + 1):
-                true_value = _minor_det_unitriangular(matrix, big, i, j)
+                true_value = _row_minors(matrix, big, i)[j - 1]
                 miswired = (-1) ** (big - j) * (
                     point.get((i, j), 0)
                     - sum(

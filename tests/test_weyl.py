@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -17,7 +18,15 @@ from symsyz.weyl import (
     w_tilde_min_rep,
 )
 
-from oracles import bruhat_leq, bruhat_leq_grassmannian, reduced_word_lengths, transposition
+from oracles import (
+    avoids_patterns_by_scan,
+    bruhat_leq,
+    bruhat_leq_grassmannian,
+    reduced_word_lengths,
+    transposition,
+)
+
+PATTERNS = [(4, 2, 3, 1), (3, 1, 4, 2)]  # the pair avoids_patterns tests
 
 
 def all_params(n_max):
@@ -153,21 +162,48 @@ def test_w_max_examples():
 
 
 def test_w_max_block_sort_recovers_w_tilde():
-    for n, k, r in all_params(6):
+    # the family element is its own minimal coset representative, and the
+    # block sort of w_max gives it back, for all 4,495 (n, k, r) with n <= 30
+    params = all_params(30)
+    assert len(params) == 4495
+    for n, k, r in params:
         cuts = cell_cuts(n, k, r)
-        tilde = w_tilde_min_rep(family_element(n, k, r), cuts)
-        assert w_tilde_min_rep(w_max_rep(n, k, r), cuts) == tilde
+        w = family_element(n, k, r)
+        assert w_tilde_min_rep(w, cuts) == w == w_tilde_min_rep(w_max_rep(n, k, r), cuts)
 
 
 def test_avoids_patterns_examples():
-    assert avoids_patterns((1, 2, 3, 4), [(4, 2, 3, 1), (3, 1, 4, 2)])
-    assert not avoids_patterns((4, 2, 3, 1), [(4, 2, 3, 1)])
-    assert avoids_patterns(w_max_rep(5, 2, 4), [(4, 2, 3, 1), (3, 1, 4, 2)])
+    assert avoids_patterns((1, 2, 3, 4))
+    assert not avoids_patterns((4, 2, 3, 1))
+    assert not avoids_patterns((3, 1, 4, 2))
+    assert avoids_patterns(w_max_rep(5, 2, 4))
+    # one pattern at a time is a question for the scan
+    assert not avoids_patterns_by_scan((4, 2, 3, 1), [(4, 2, 3, 1)])
+    assert avoids_patterns_by_scan((3, 1, 4, 2), [(4, 2, 3, 1)])
+    assert avoids_patterns_by_scan((4, 2, 3, 1), [(3, 1, 4, 2)])
+
+
+def test_avoids_patterns_matches_the_scan():
+    avoiding = []
+    for size in range(8):
+        words = list(itertools.permutations(range(1, size + 1)))
+        for word in words:
+            assert avoids_patterns(word) == avoids_patterns_by_scan(word, PATTERNS), word
+        avoiding.append(sum(map(avoids_patterns, words)))
+    # words of S_0 .. S_7 avoiding both; S_4 loses just the two patterns
+    assert avoiding == [1, 1, 2, 6, 22, 88, 366, 1552]
+    rng = random.Random("avoids_patterns")
+    for _ in range(300):
+        word = list(range(1, rng.randint(1, 20) + 1))
+        rng.shuffle(word)
+        assert avoids_patterns(word) == avoids_patterns_by_scan(word, PATTERNS), word
 
 
 def test_w_max_always_avoids():
-    for n, k, r in all_params(6):
-        assert avoids_patterns(w_max_rep(n, k, r), [(4, 2, 3, 1), (3, 1, 4, 2)])
+    for n, k, r in all_params(10):
+        word = w_max_rep(n, k, r)
+        assert avoids_patterns(word), (n, k, r)
+        assert avoids_patterns_by_scan(word, PATTERNS), (n, k, r)
 
 
 def test_bruhat_grassmannian_examples():
@@ -221,7 +257,7 @@ def test_transpositions_below_match_bruhat_on_all_of_s_n():
             assert below == _transpositions_below_by_bruhat(word), word
             tangent = len(below)
             # smooth exactly when 3412 and 4231 are avoided (Lakshmibai-Sandhya)
-            smooth = avoids_patterns(word, [(3, 4, 1, 2), (4, 2, 3, 1)])
+            smooth = avoids_patterns_by_scan(word, [(3, 4, 1, 2), (4, 2, 3, 1)])
             assert (tangent == length_A(word)) == smooth, word
             singular += not smooth
     # 0, 0, 0, 2, 32 and 354 singular words in S_1 .. S_6
