@@ -14,14 +14,11 @@ from .geometry import (
     product_identification,
 )
 from .partitions import (
-    FrobeniusHooks,
     conjugate,
-    durfee_rank,
     enumerate_Q,
     exterior_of_sym2,
     from_hooks,
     schur_dim,
-    to_hooks,
     weyl_dim,
 )
 from .resolution import (

@@ -1,6 +1,7 @@
-"""Integer partition calculus: conjugates, Frobenius hooks, the hook
-families with arm = leg + offset (one enumerator serves every table),
-Schur module dimensions as Weyl products, and the exterior powers of Sym^2.
+"""Integer partition calculus: conjugates, partitions from their Frobenius
+coordinates, the hook families with arm = leg + offset (one enumerator
+serves every table), Schur module dimensions as Weyl products, and the
+exterior powers of Sym^2.
 
 Partitions are plain tuples of weakly decreasing positive integers; the
 empty tuple is the zero partition. All arithmetic is exact.
@@ -10,18 +11,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial, prod
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 
 class NonIntegralDimension(ArithmeticError):
     """A Weyl dimension quotient left a remainder."""
-
-
-class FrobeniusHooks(NamedTuple):
-    """Arm/leg coordinates of the diagonal boxes of a partition."""
-
-    arms: tuple[int, ...]
-    legs: tuple[int, ...]
 
 
 def is_partition(parts) -> bool:
@@ -56,41 +50,14 @@ def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1))
 
 
-def durfee_rank(parts: tuple[int, ...]) -> int:
-    """Side of the largest square inside the diagram: max{i : parts[i-1] >= i}."""
-    parts = check_partition(parts)
-    rank = 0
-    for i, p in enumerate(parts, start=1):
-        if p >= i:
-            rank = i
-        else:
-            break
-    return rank
+def from_hooks(hooks: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[int, ...]:
+    """The partition with Frobenius coordinates `hooks`, a pair (arms, legs)
+    of strictly decreasing, nonnegative tuples of one length.
 
-
-def to_hooks(parts: tuple[int, ...]) -> FrobeniusHooks:
-    """Frobenius coordinates: arm a_i = parts[i-1] - i, leg b_i = parts'[i-1] - i.
-
-    >>> to_hooks((2, 2))
-    FrobeniusHooks(arms=(1, 0), legs=(1, 0))
-    >>> to_hooks((3, 2, 1))
-    FrobeniusHooks(arms=(2, 0), legs=(2, 0))
-    """
-    parts = check_partition(parts)
-    conj = conjugate(parts)
-    s = durfee_rank(parts)
-    arms = tuple(parts[i] - (i + 1) for i in range(s))
-    legs = tuple(conj[i] - (i + 1) for i in range(s))
-    return FrobeniusHooks(arms, legs)
-
-
-def from_hooks(hooks: FrobeniusHooks) -> tuple[int, ...]:
-    """Inverse of :func:`to_hooks`.
-
-    >>> from_hooks(FrobeniusHooks((1, 0), (1, 0)))
+    >>> from_hooks(((1, 0), (1, 0)))
     (2, 2)
     """
-    arms, legs = hooks.arms, hooks.legs
+    arms, legs = hooks
     s = len(arms)
     if len(legs) != s:
         raise ValueError("arm and leg counts differ")
@@ -100,10 +67,7 @@ def from_hooks(hooks: FrobeniusHooks) -> tuple[int, ...]:
         raise ValueError("arms and legs must be strictly decreasing")
     if s and (arms[-1] < 0 or legs[-1] < 0):
         raise ValueError("arms and legs must be nonnegative")
-    result = _rows_from_hooks(arms, legs)
-    if not is_partition(result) or to_hooks(result) != FrobeniusHooks(arms, legs):
-        raise ValueError(f"inconsistent hook data {hooks}")
-    return result
+    return _rows_from_hooks(arms, legs)
 
 
 def _rows_from_hooks(arms, legs) -> tuple[int, ...]:

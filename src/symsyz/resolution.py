@@ -1,8 +1,9 @@
 """Assembly of graded Betti tables: the closed form for the symmetric
 determinantal case and the Bott-checked table over the enlarged base, with
-exact consistency functionals. Both come from one walk of one hook family
-(:func:`~symsyz.partitions.hook_family`, offset k - 1): the closed form keeps
-its even ranks, the enlarged base keeps every rank."""
+exact consistency functionals. Both come from one enumerator
+(:func:`~symsyz.partitions.hook_family`, offset k - 1), walked once per
+table: the closed form keeps its even ranks, the enlarged base keeps every
+rank, so `resolve` at even k walks the family twice."""
 
 from __future__ import annotations
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from first principles, without
 touching the library's own code paths: breadth-first reduced words, the
-Bruhat order on S_N by sorted prefixes, explicit tableau enumeration, the
+Bruhat order on S_N by sorted prefixes, the Durfee square and Frobenius
+coordinates counted cell by cell, explicit tableau enumeration, the
 hook-content formula, the Hilbert function of the symmetric determinantal
 ring as a sum over the GL_n-components of Sym(Sym^2), its GL_n character
 at a random torus point through Schur bialternants mod a prime, two
@@ -116,6 +117,40 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ..
     for first in range(max_part, 0, -1):
         for rest in partitions_of(n - first, first):
             yield (first,) + rest
+
+
+# -- Frobenius coordinates, cell by cell --------------------------------------
+
+def _cells(lam) -> set[tuple[int, int]]:
+    """The cells (row, column) of the Young diagram, 0-based."""
+    return {(i, j) for i, part in enumerate(lam) for j in range(part)}
+
+
+def durfee_rank(lam) -> int:
+    """Side of the largest square of cells in the corner of the diagram.
+
+    >>> durfee_rank(()), durfee_rank((3, 2, 2)), durfee_rank((3, 3, 3))
+    (0, 2, 3)
+    """
+    cells = _cells(lam)
+    side = 0
+    while all((i, j) in cells for i in range(side + 1) for j in range(side + 1)):
+        side += 1
+    return side
+
+
+def frobenius_hooks(lam) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Frobenius coordinates (arms, legs): for each diagonal cell (i, i), the
+    cells of the diagram right of it in row i and below it in column i.
+
+    >>> frobenius_hooks((2, 2)), frobenius_hooks((3, 2, 1))
+    (((1, 0), (1, 0)), ((2, 0), (2, 0)))
+    """
+    cells = _cells(lam)
+    diagonal = range(durfee_rank(lam))
+    arms = tuple(sum(1 for r, c in cells if r == i and c > i) for i in diagonal)
+    legs = tuple(sum(1 for r, c in cells if c == i and r > i) for i in diagonal)
+    return arms, legs
 
 
 # -- Semistandard tableaux ---------------------------------------------------

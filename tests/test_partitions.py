@@ -5,20 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symsyz.partitions import (
-    FrobeniusHooks,
     conjugate,
-    durfee_rank,
     enumerate_Q,
     exterior_of_sym2,
     from_hooks,
     hook_family,
     is_partition,
     schur_dim,
-    to_hooks,
     weyl_dim,
 )
 
-from oracles import count_ssyt, hook_content_dim, partitions_of
+from oracles import count_ssyt, durfee_rank, frobenius_hooks, hook_content_dim, partitions_of
 
 partition_st = st.integers(0, 14).flatmap(
     lambda n: st.sampled_from(sorted(partitions_of(n))) if n else st.just(())
@@ -38,17 +35,41 @@ def test_durfee_examples():
 
 
 def test_hooks_examples():
-    assert to_hooks((2, 2)) == FrobeniusHooks((1, 0), (1, 0))
-    assert to_hooks((1,)) == FrobeniusHooks((0,), (0,))
-    assert to_hooks((3, 2, 1)) == FrobeniusHooks((2, 0), (2, 0))
-    assert from_hooks(FrobeniusHooks((2, 0), (2, 0))) == (3, 2, 1)
+    assert frobenius_hooks((2, 2)) == ((1, 0), (1, 0))
+    assert frobenius_hooks((1,)) == ((0,), (0,))
+    assert frobenius_hooks((3, 2, 1)) == ((2, 0), (2, 0))
+    assert from_hooks(((2, 0), (2, 0))) == (3, 2, 1)
 
 
 def test_hooks_roundtrip_exhaustive():
     for n in range(21):
         for lam in partitions_of(n):
             if lam:
-                assert from_hooks(to_hooks(lam)) == lam
+                assert from_hooks(frobenius_hooks(lam)) == lam
+
+
+def test_from_hooks_is_a_partition_with_those_hooks():
+    # from_hooks checks only the shape of its input: every strictly
+    # decreasing, nonnegative pair of one length must give a partition
+    # whose cells have exactly those Frobenius coordinates
+    for s in range(5):
+        tuples = list(itertools.combinations(range(7, -1, -1), s))
+        for arms in tuples:
+            for legs in tuples:
+                lam = from_hooks((arms, legs))
+                assert is_partition(lam), (arms, legs)
+                assert frobenius_hooks(lam) == (arms, legs), (arms, legs, lam)
+
+
+def test_from_hooks_refusals():
+    with pytest.raises(ValueError, match="^arm and leg counts differ$"):
+        from_hooks(((1, 0), (1,)))
+    for hooks in (((0, 1), (1, 0)), ((1, 0), (0, 0))):
+        with pytest.raises(ValueError, match="^arms and legs must be strictly decreasing$"):
+            from_hooks(hooks)
+    for hooks in (((1, -1), (1, 0)), ((0,), (-1,))):
+        with pytest.raises(ValueError, match="^arms and legs must be nonnegative$"):
+            from_hooks(hooks)
 
 
 @given(partition_st)
@@ -76,7 +97,7 @@ def test_enumerate_Q_against_filter():
                         for lam in partitions_of(weight)
                         if all(
                             a == b + offset
-                            for a, b in zip(*to_hooks(lam))
+                            for a, b in zip(*frobenius_hooks(lam))
                         )
                     ),
                     reverse=True,
@@ -89,7 +110,8 @@ def test_hook_family_against_filter():
     # oracle: every partition inside the (max_leg + 1) x (max_leg + offset + 1)
     # box (a hook family member's first leg and arm bound its rows and
     # columns), filtered through its hooks; each yielded leg tuple is turned
-    # into its partition through the validating from_hooks
+    # into its partition by from_hooks, which checks only the shape of its
+    # input, so the comparison with the filter does the rest
     for offset in range(3):
         for max_leg in range(5):
             width = max_leg + offset + 1
@@ -98,12 +120,12 @@ def test_hook_family_against_filter():
                 for size in range((max_leg + 1) * width + 1)
                 for lam in partitions_of(size, max_part=width)
                 if len(lam) <= max_leg + 1
-                and all(a == b + offset for a, b in zip(*to_hooks(lam)))
+                and all(a == b + offset for a, b in zip(*frobenius_hooks(lam)))
             )
             walked = []
             for legs, rank, size in hook_family(offset, max_leg):
                 arms = tuple(b + offset for b in legs)
-                lam = from_hooks(FrobeniusHooks(arms, legs)) if legs else ()
+                lam = from_hooks((arms, legs)) if legs else ()
                 assert rank == len(legs) and size == sum(lam)
                 walked.append((lam, rank, size))
             assert sorted(walked) == expected, (offset, max_leg)

@@ -7,7 +7,7 @@ import pytest
 
 from symsyz import resolution
 from symsyz.geometry import desing_data
-from symsyz.partitions import FrobeniusHooks, _rows_from_hooks, from_hooks, weyl_dim
+from symsyz.partitions import _rows_from_hooks, from_hooks, weyl_dim
 from symsyz.resolution import (
     BettiTable,
     EnlargedTableMismatch,
@@ -107,7 +107,7 @@ def test_closed_form_against_oracle():
                 for legs in itertools.combinations(range(n - k + 1), s):
                     legs = legs[::-1]
                     arms = tuple(b + k - 1 for b in legs)
-                    lam = from_hooks(FrobeniusHooks(arms, legs))
+                    lam = from_hooks((arms, legs))
                     t = sum(lam) // 2
                     dual = conjugate(lam)
                     dim = hook_content_dim(dual, n)
