@@ -8,15 +8,12 @@ deterministic for fixed flags; JSON output is canonically sorted.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 
 from .bott import QDominantWeight, bott
-from .exactmat import InexactElimination
-from .geometry import PluckerMismatch, SliceEscape, desing_data, opposite_cell_pattern
-from .partitions import NonIntegralDimension
-from .resolution import EnlargedTableMismatch, RationalSingularityViolation, k_polynomial, resolve
-from .verify import DEFAULT_SUITES, run_suites
+from .resolution import desing_data, k_polynomial, resolve
 from .weyl import (
     InvalidParameters,
     avoids_patterns,
@@ -31,19 +28,39 @@ from .weyl import (
     w_tilde_min_rep,
 )
 
+
+def _lazy(name: str):
+    """symsyz.<name>, put in sys.modules now and run on its first attribute
+    access, so that `resolve` never compiles what only schubert and verify need."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[full] = importlib.util.module_from_spec(spec)
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the layers of schubert and verify; the benchmark's tracer finds all four in sys.modules
+exactmat, polynomials = _lazy("exactmat"), _lazy("polynomials")
+geometry, verify = _lazy("geometry"), _lazy("verify")
+
 USAGE_EXIT = 2
 INTERNAL_EXIT = 3
 MAX_WALK_LOG2 = 17  # at most 2^17 leg tuples in one hook-family walk (an exponent: no huge ints)
 MAX_SCHUBERT_N = 60  # the cell pattern's (r-k)(n-r+k)^2 Poly products: about 0.3 s at n = 60 on 2 cores
-# failed internal checks, each reported as one `error:<code>:` line with INTERNAL_EXIT
+# failed internal checks, each reported as one `error:<code>:` line with INTERNAL_EXIT;
+# matched in this order, each class looked up by module only once a command has failed
 INTEGRITY_CODES = {
-    RationalSingularityViolation: "rational-singularity-violation",
-    NonIntegralDimension: "non-integral-dimension",
-    PluckerMismatch: "plucker-mismatch",
-    SliceEscape: "slice-escape",
-    InexactElimination: "inexact-elimination",
-    EnlargedTableMismatch: "enlarged-table-mismatch",
-    ValueError: "internal-value-error",  # last: any other ValueError past the boundary checks
+    ("symsyz.resolution", "RationalSingularityViolation"): "rational-singularity-violation",
+    ("symsyz.partitions", "NonIntegralDimension"): "non-integral-dimension",
+    ("symsyz.geometry", "PluckerMismatch"): "plucker-mismatch",
+    ("symsyz.geometry", "SliceEscape"): "slice-escape",
+    ("symsyz.exactmat", "InexactElimination"): "inexact-elimination",
+    ("symsyz.resolution", "EnlargedTableMismatch"): "enlarged-table-mismatch",
+    ("builtins", "ValueError"): "internal-value-error",  # last: any other ValueError past the boundary checks
 }
 
 
@@ -163,7 +180,7 @@ def cmd_schubert(args) -> int:
     }
     smooth = tangent_dim_at_id_C(wmax) == lengths["l_C(w_max)"]
     avoiding = avoids_patterns(wmax)
-    cell_dimension = opposite_cell_pattern(args.n, args.k, args.r).dimension()
+    cell_dimension = geometry.opposite_cell_pattern(args.n, args.k, args.r).dimension()
     data = desing_data(args.n, args.k, args.r)
     if args.format == "json":
         _print_json({
@@ -211,11 +228,11 @@ def _print_desing(data) -> None:
 
 
 def cmd_verify(args) -> int:
-    names = args.suites.split(",") if args.suites else list(DEFAULT_SUITES)
-    unknown = [x for x in names if x not in DEFAULT_SUITES]
+    names = args.suites.split(",") if args.suites else list(verify.DEFAULT_SUITES)
+    unknown = [x for x in names if x not in verify.DEFAULT_SUITES]
     if unknown:
         return _fail("unknown-suite", ", ".join(map(repr, unknown)), USAGE_EXIT)
-    results = run_suites(args.seed, names, fast=args.fast)
+    results = verify.run_suites(args.seed, names, fast=args.fast)
     failed = False
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -271,9 +288,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except InvalidParameters as exc:
         return _fail("invalid-params", str(exc), USAGE_EXIT)
-    except tuple(INTEGRITY_CODES) as exc:
-        code = next(code for kind, code in INTEGRITY_CODES.items() if isinstance(exc, kind))
-        return _fail(code, str(exc), INTERNAL_EXIT)
+    except (ArithmeticError, RuntimeError, ValueError) as exc:  # the bases of INTEGRITY_CODES
+        for (module, name), code in INTEGRITY_CODES.items():
+            if isinstance(exc, getattr(sys.modules[module], name)):
+                return _fail(code, str(exc), INTERNAL_EXIT)
+        raise
 
 
 if __name__ == "__main__":

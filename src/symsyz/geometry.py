@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from . import exactmat as em
 from .polynomials import Poly
-from .weyl import cell_cuts, check_parameters
+from .weyl import cell_cuts
 
 CELL_POINT_BOUND = 9  # entries of random_cell_point
 SYMPLECTIC_POINT_BOUND = 6  # entries of random_symplectic_cell_point
@@ -404,50 +404,4 @@ def product_identification_inverse(n: int, k: int, r: int, sym, base) -> Opposit
         n, k, r,
         [row[:l] for row in base[l:]],
         [row[l:] for row in reversed(sym[l:])],
-    )
-
-
-# ---------------------------------------------------------------------------
-# Desingularisation bookkeeping
-
-
-class DesingData(NamedTuple):
-    n: int
-    k: int
-    r: int
-    base: str
-    base_dim: int
-    fibre_dim: int
-    dim_z: int
-    dim_y: int
-    ambient_dim: int
-    codim: int
-    bundle_rank: int
-
-
-def desing_data(n: int, k: int, r: int) -> DesingData:
-    """Dimension bookkeeping of the desingularisation: total space is a
-    vector bundle of rank dim(V_w) over a Grassmannian of dimension k(r-k),
-    mapping birationally onto the opposite cell inside the symmetric
-    matrices.
-
-    >>> desing_data(2, 1, 2).dim_y, desing_data(2, 1, 2).codim
-    (2, 1)
-    """
-    check_parameters(n, k, r)
-    ambient = n * (n + 1) // 2
-    q = n - (r - k)
-    fibre = q * (q + 1) // 2  # symmetric matrices on the trailing q-by-q square
-    base_dim = k * (r - k)
-    dim_z = base_dim + fibre
-    return DesingData(
-        n=n, k=k, r=r,
-        base=f"GL_{r}/P''_{{{r - k}}}",
-        base_dim=base_dim,
-        fibre_dim=fibre,
-        dim_z=dim_z,
-        dim_y=dim_z,
-        ambient_dim=ambient,
-        codim=ambient - dim_z,
-        bundle_rank=ambient - fibre,
     )

@@ -12,9 +12,7 @@ from math import comb
 from typing import NamedTuple
 
 from .bott import QDominantWeight, bott
-from .geometry import DesingData, desing_data
 from .partitions import NonIntegralDimension, _rows_from_hooks, hook_family, weyl_dim
-from .polynomials import Poly, _laplace, span_rank_and_basis
 from .weyl import InvalidParameters, check_parameters
 
 
@@ -250,6 +248,8 @@ def consistency_check(table: BettiTable, codim: int) -> ConsistencyReport:
 
 
 def generic_symmetric_entry(i: int, j: int) -> Poly:
+    from .polynomials import Poly  # imported here: `resolve` never loads polynomials
+
     a, b = min(i, j), max(i, j)
     return Poly.var(("x", a, b))
 
@@ -263,6 +263,8 @@ def minor_generators(n: int, k: int) -> list[Poly]:
     >>> len(minor_generators(2, 1)), len(minor_generators(3, 1))
     (1, 6)
     """
+    from .polynomials import _laplace, span_rank_and_basis  # as in generic_symmetric_entry
+
     check_parameters(n, k, n)
     matrix = [[generic_symmetric_entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     subsets = list(itertools.combinations(range(n), k + 1))
@@ -317,6 +319,52 @@ def enlarged_space_table(n: int, k: int, r: int, max_t: int | None = None) -> Be
                                         f" {(n, k)}, not degree {s * u} with label {label}")
         table.add(t - s * u, t, label, dim)
     return table
+
+
+# ---------------------------------------------------------------------------
+# Desingularisation bookkeeping
+
+
+class DesingData(NamedTuple):
+    n: int
+    k: int
+    r: int
+    base: str
+    base_dim: int
+    fibre_dim: int
+    dim_z: int
+    dim_y: int
+    ambient_dim: int
+    codim: int
+    bundle_rank: int
+
+
+def desing_data(n: int, k: int, r: int) -> DesingData:
+    """Dimension bookkeeping of the desingularisation: total space is a
+    vector bundle of rank dim(V_w) over a Grassmannian of dimension k(r-k),
+    mapping birationally onto the opposite cell inside the symmetric
+    matrices.
+
+    >>> desing_data(2, 1, 2).dim_y, desing_data(2, 1, 2).codim
+    (2, 1)
+    """
+    check_parameters(n, k, r)
+    ambient = n * (n + 1) // 2
+    q = n - (r - k)
+    fibre = q * (q + 1) // 2  # symmetric matrices on the trailing q-by-q square
+    base_dim = k * (r - k)
+    dim_z = base_dim + fibre
+    return DesingData(
+        n=n, k=k, r=r,
+        base=f"GL_{r}/P''_{{{r - k}}}",
+        base_dim=base_dim,
+        fibre_dim=fibre,
+        dim_z=dim_z,
+        dim_y=dim_z,
+        ambient_dim=ambient,
+        codim=ambient - dim_z,
+        bundle_rank=ambient - fibre,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from .bott import QDominantWeight, bott
 from .geometry import (
     PluckerMismatch,
     cell_matrix,
-    desing_data,
     is_symplectic,
     opposite_cell_factor,
     opposite_cell_pattern,
@@ -26,6 +25,7 @@ from .geometry import (
 from .partitions import exterior_of_sym2, schur_dim
 from .resolution import (
     consistency_check,
+    desing_data,
     enlarged_space_table,
     jpw_closed_form,
     k_polynomial,

@@ -7,10 +7,10 @@ from math import comb
 
 from symsyz.bott import QDominantWeight, bott
 from symsyz.cli import main
-from symsyz.geometry import desing_data
 from symsyz.partitions import exterior_of_sym2, schur_dim
 from symsyz.resolution import (
     consistency_check,
+    desing_data,
     enlarged_space_table,
     jpw_closed_form,
     minor_generators,

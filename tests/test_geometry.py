@@ -12,7 +12,6 @@ from symsyz.geometry import (
     OppositeCellPoint,
     _row_minors,
     cell_matrix,
-    desing_data,
     free_positions,
     is_symplectic,
     opposite_cell_factor,
@@ -24,6 +23,7 @@ from symsyz.geometry import (
     random_symplectic_cell_point,
 )
 from symsyz import verify
+from symsyz.resolution import desing_data
 from symsyz.verify import SYMPLECTIC_BOUND, all_parameters, random_symplectic
 from symsyz.weyl import cell_cuts, family_element, length_C
 

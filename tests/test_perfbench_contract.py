@@ -11,6 +11,7 @@ checker, loaded from perfbench/checks.py by path, reads them here.
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -66,6 +67,29 @@ def test_cli_import_leaves_fractions_unloaded():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]
+
+
+def _traced_calls(*argv: str) -> dict[str, int]:
+    """The call counts of one traced operation, run without writing
+    bytecode, so that nothing lands under perfbench/."""
+    done = subprocess.run([sys.executable, str(TRACE_CHILD), *argv],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                                   PYTHONDONTWRITEBYTECODE="1"),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    (line,) = [line for line in done.stderr.splitlines() if line.startswith("perfbench-trace ")]
+    return json.loads(line.removeprefix("perfbench-trace "))["calls"]
+
+
+def test_tracer_wraps_the_lazily_loaded_modules():
+    # cli registers exactmat, polynomials, geometry and verify unrun; the
+    # tracer's install must still replace their functions, not stale copies
+    calls = _traced_calls("cli", "verify", "--fast", "--seed", "0")
+    for name in ("geometry.is_symplectic", "exactmat.inverse",
+                 "polynomials.span_rank_and_basis", "bott.bott"):
+        assert calls.get(name, 0) > 0, name
+    calls = _traced_calls("cli", "resolve", "--n", "6", "--k", "2", "--r", "6", "--format", "json")
+    assert calls.get("bott.bott", 0) > 0
 
 
 def test_enumerate_Q_keeps_its_cache():

@@ -6,7 +6,6 @@ from math import comb
 import pytest
 
 from symsyz import resolution
-from symsyz.geometry import desing_data
 from symsyz.partitions import _rows_from_hooks, from_hooks, weyl_dim
 from symsyz.resolution import (
     BettiTable,
@@ -15,6 +14,7 @@ from symsyz.resolution import (
     UnsupportedBundleError,
     assemble,
     consistency_check,
+    desing_data,
     enlarged_space_table,
     jpw_by_degree_scan,
     jpw_closed_form,
